@@ -21,7 +21,9 @@ AccumulatorParams AccumulatorParams::read(ByteReader& r) {
 
 AccumulatorContext AccumulatorContext::owner(const RsaModulus& m, Bigint g) {
   AccumulatorParams params{m.n, std::move(g)};
-  return AccumulatorContext(std::move(params), PowerContext(m.n, m.p, m.q));
+  AccumulatorContext ctx(std::move(params), PowerContext(m.n, m.p, m.q));
+  ctx.enable_fixed_base(0);
+  return ctx;
 }
 
 AccumulatorContext AccumulatorContext::public_side(AccumulatorParams params) {

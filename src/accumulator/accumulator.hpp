@@ -32,7 +32,11 @@ struct AccumulatorParams {
 
 class AccumulatorContext {
  public:
-  // Owner role: holds the trapdoor, exponentiates via phi(n) + CRT.
+  // Owner role: holds the trapdoor, exponentiates via phi(n) + CRT.  The
+  // fixed-base tables for g mod p and mod q are built here (two tables of
+  // about a hundred half-modulus entries), so every owner g^x — interval
+  // accumulators, middle-layer witnesses, roots, dictionary — is
+  // squaring-free.
   static AccumulatorContext owner(const RsaModulus& m, Bigint g);
   // Cloud / third-party role: public parameters only.
   static AccumulatorContext public_side(AccumulatorParams params);
@@ -55,7 +59,8 @@ class AccumulatorContext {
   // a squaring-free multi-multiplication.  `max_exp_bits` bounds the
   // exponent width served on the public side (wider exponents fall back to
   // plain powm); the owner side always reduces mod φ(n), so its tables are
-  // modulus-sized regardless.  Call before sharing the context across
+  // modulus-sized regardless, and owner() has already built them (a call
+  // here is then a no-op).  Call before sharing the context across
   // threads; lookups afterwards are read-only.  Results are bit-identical
   // to the generic path.
   void enable_fixed_base(std::size_t max_exp_bits) {

@@ -167,6 +167,9 @@ const Bigint& PowerContext::phi() const {
 }
 
 void PowerContext::prepare_fixed_base(const Bigint& base, std::size_t max_exp_bits) {
+  // Trapdoor tables ignore max_exp_bits, so an existing one for this base is
+  // already the table a rebuild would produce.
+  if (trapdoor_ && fixed_base_matches(base)) return;
   auto fixed = std::make_shared<FixedBase>();
   fixed->base = base;
   if (trapdoor_) {

@@ -55,8 +55,9 @@ class PowerContext {
   // powm.  The accumulator generator g is the base of nearly every
   // cloud-side witness exponentiation, which is what makes one table pay
   // for thousands of calls.  With the trapdoor, exponents are served after
-  // reduction mod p-1 / q-1, so the two CRT tables are modulus-sized and
-  // `max_exp_bits` is irrelevant to their memory.  The table is immutable
+  // reduction mod p-1 / q-1, so the two CRT tables are modulus-sized,
+  // `max_exp_bits` is irrelevant to their memory, and a second call for the
+  // same base keeps the existing tables.  The table is immutable
   // once built and shared by copies of this context; prepare it before
   // publishing the context to other threads.  Results are identical to the
   // generic path bit for bit.

@@ -1,6 +1,7 @@
 #include "interval/interval_index.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "accumulator/batch_witness.hpp"
 #include "obs/metrics.hpp"
@@ -177,7 +178,9 @@ IntervalIndex IntervalIndex::build(const AccumulatorContext& ctx,
     Interval& iv = idx.intervals_[i];
     iv.desc.b = ctx.accumulate(idx.member_reps(iv, element_primes));
   });
-  idx.rebuild_middle_layer(ctx);
+  std::vector<std::size_t> all(k);
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  idx.rebuild_middle_layer(ctx, all);
   return idx;
 }
 
@@ -189,14 +192,21 @@ std::vector<Bigint> IntervalIndex::member_reps(const Interval& iv,
   return reps;
 }
 
-void IntervalIndex::rebuild_middle_layer(const AccumulatorContext& ctx) {
+void IntervalIndex::rebuild_middle_layer(const AccumulatorContext& ctx,
+                                         std::span<const std::size_t> stale) {
   PrimeRepGenerator mid_gen = middle_generator(element_prime_config_);
-  std::vector<Bigint> mid_reps(intervals_.size());
-  // Each representative costs dozens of Miller–Rabin rounds: fan out.
-  for_each_index(ctx, intervals_.size(), [&](std::size_t i) {
-    intervals_[i].mid_rep = mid_gen.representative(intervals_[i].desc.encode());
-    mid_reps[i] = intervals_[i].mid_rep;
+  // Each representative costs dozens of Miller–Rabin rounds, so only the
+  // stale descriptors re-derive theirs (fanned out); every other interval's
+  // cached mid_rep still belongs to its unchanged descriptor.
+  for_each_index(ctx, stale.size(), [&](std::size_t i) {
+    Interval& iv = intervals_[stale[i]];
+    iv.mid_rep = mid_gen.representative(iv.desc.encode());
   });
+  std::vector<Bigint> mid_reps;
+  mid_reps.reserve(intervals_.size());
+  for (const Interval& iv : intervals_) mid_reps.push_back(iv.mid_rep);
+  // Any changed rep changes every c_{b_k}: the root and all K witnesses are
+  // recomputed.
   root_ = ctx.accumulate(mid_reps);
 
   const std::size_t k = mid_reps.size();
@@ -374,7 +384,7 @@ void IntervalIndex::insert(const AccumulatorContext& ctx,
     iv.desc.b = ctx.accumulate(member_reps(iv, element_primes));
   });
   intervals_ = std::move(next);
-  rebuild_middle_layer(ctx);
+  rebuild_middle_layer(ctx, stale);
 }
 
 void IntervalIndex::remove(const AccumulatorContext& ctx,
@@ -407,7 +417,7 @@ void IntervalIndex::remove(const AccumulatorContext& ctx,
     std::size_t k = stale[i];
     intervals_[k].desc.b = ctx.accumulate(member_reps(intervals_[k], element_primes));
   });
-  if (!stale.empty()) rebuild_middle_layer(ctx);
+  if (!stale.empty()) rebuild_middle_layer(ctx, stale);
 }
 
 namespace {

@@ -200,7 +200,10 @@ class IntervalIndex {
     friend bool operator==(const Interval&, const Interval&) = default;
   };
 
-  void rebuild_middle_layer(const AccumulatorContext& ctx);
+  // Re-derives the middle-layer representatives of the intervals listed in
+  // `stale` (their descriptors changed), then recomputes the root and every
+  // interval's c_{b_k} from all K cached representatives.
+  void rebuild_middle_layer(const AccumulatorContext& ctx, std::span<const std::size_t> stale);
   [[nodiscard]] std::vector<Bigint> member_reps(const Interval& iv,
                                                 PrimeCache& element_primes) const;
 

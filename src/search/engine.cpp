@@ -59,19 +59,15 @@ SearchEngine::SearchEngine(SnapshotPtr snapshot, AccumulatorContext cloud_ctx,
       cloud_key_(std::move(cloud_key)),
       prover_(snap_, ctx_, pool, shards) {}
 
-SearchEngine::Classified SearchEngine::classify(
-    const std::vector<std::string>& keywords) const {
-  if (keywords.empty()) throw UsageError("empty query");
+SearchEngine::Classified SearchEngine::classify(const std::vector<std::string>& terms) const {
   Classified c;
-  for (const auto& raw : keywords) {
-    std::string norm = normalize_term(raw);
-    if (norm.empty()) continue;  // punctuation-only keyword
-    if (std::find(c.known.begin(), c.known.end(), norm) != c.known.end()) continue;
-    if (std::find(c.unknown.begin(), c.unknown.end(), norm) != c.unknown.end()) continue;
-    if (snap_->find(norm) != nullptr) {
-      c.known.push_back(norm);
+  for (const auto& term : terms) {
+    if (std::find(c.known.begin(), c.known.end(), term) != c.known.end()) continue;
+    if (std::find(c.unknown.begin(), c.unknown.end(), term) != c.unknown.end()) continue;
+    if (snap_->find(term) != nullptr) {
+      c.known.push_back(term);
     } else {
-      c.unknown.push_back(norm);
+      c.unknown.push_back(term);
     }
   }
   if (c.known.empty() && c.unknown.empty()) {
@@ -126,6 +122,23 @@ BoolNode effective_expr(const Query& query) {
   return node;
 }
 
+// A keyword query's terms (its expression's leaves, or its keyword list),
+// normalized exactly once: normalize_term is not idempotent (Porter stems
+// "mudimicer" to "mudimic", and that to "mudim").  Terms that normalize to
+// nothing (punctuation only) drop out.
+std::vector<std::string> normalized_keywords(const Query& query) {
+  const std::vector<std::string> raw =
+      query.expr.has_value() ? leaf_terms_in_order(*query.expr) : query.keywords;
+  if (raw.empty()) throw UsageError("empty query");
+  std::vector<std::string> out;
+  out.reserve(raw.size());
+  for (const auto& r : raw) {
+    std::string norm = normalize_term(r);
+    if (!norm.empty()) out.push_back(std::move(norm));
+  }
+  return out;
+}
+
 }  // namespace
 
 BooleanQueryResponse SearchEngine::evaluate_boolean(
@@ -134,6 +147,7 @@ BooleanQueryResponse SearchEngine::evaluate_boolean(
   body.top_k = query.top_k;
   body.expr = normalize_query(effective_expr(query));
 
+  // The leaves are normalized already; classify takes them as they are.
   Classified c = classify(leaf_terms_in_order(body.expr));
   std::sort(c.known.begin(), c.known.end());
   std::sort(c.unknown.begin(), c.unknown.end());
@@ -207,8 +221,7 @@ SearchResult SearchEngine::execute_only(const Query& query) const {
     r.postings = std::move(body.postings);
     return r;
   }
-  Classified c = classify(query.expr.has_value() ? leaf_terms_in_order(*query.expr)
-                                                 : query.keywords);
+  Classified c = classify(normalized_keywords(query));
   if (!c.unknown.empty() || c.known.size() < 2) {
     SearchResult r;
     r.keywords = c.known;
@@ -257,8 +270,7 @@ SearchResponse SearchEngine::search(const Query& query, SchemeKind scheme) const
     return resp;
   }
 
-  Classified c = classify(query.expr.has_value() ? leaf_terms_in_order(*query.expr)
-                                                 : query.keywords);
+  Classified c = classify(normalized_keywords(query));
 
   if (!c.unknown.empty()) {
     // §III-D4: any unknown keyword empties the intersection; the proof is

@@ -62,7 +62,9 @@ class SearchEngine {
     std::vector<std::string> known;    // normalized keywords present in the index
     std::vector<std::string> unknown;  // normalized keywords absent from it
   };
-  [[nodiscard]] Classified classify(const std::vector<std::string>& keywords) const;
+  // Splits already-normalized terms into known and unknown, dropping
+  // repeats; throws UsageError when no term is left.
+  [[nodiscard]] Classified classify(const std::vector<std::string>& terms) const;
   [[nodiscard]] SearchResult intersect(const std::vector<std::string>& keywords) const;
   // Evaluates a boolean / top-k query into a response body (everything but
   // the proof): normalized expr, sorted known terms, S, C, postings, top-k

@@ -12,7 +12,7 @@ namespace vc {
 
 IndexEntry IndexBuilder::build_entry(const std::string& term, const PostingList& postings,
                                      const AccumulatorContext& owner_ctx,
-                                     const SigningKey& owner_key) const {
+                                     const SigningKey& owner_key, UpdateTimings& t) const {
   IndexEntry e;
   e.postings = postings;
   U64Set tuples = InvertedIndex::tuple_set(postings);
@@ -29,7 +29,10 @@ IndexEntry IndexBuilder::build_entry(const std::string& term, const PostingList&
   for (std::uint64_t t : tuples) tuple_reps.push_back(tuple_primes_->get(t));
   for (std::uint64_t d : docs) doc_reps.push_back(doc_primes_->get(d));
 
+  Stopwatch sw;
   e.doc_bloom = CountingBloom::from_set(config_.bloom, docs);
+  CompressedBloom compressed = compress_bloom(e.doc_bloom);
+  t.bloom_seconds = sw.seconds();
 
   TermStatement stmt;
   stmt.term = term;
@@ -40,13 +43,12 @@ IndexEntry IndexBuilder::build_entry(const std::string& term, const PostingList&
   stmt.posting_count = postings.size();
   stmt.postings_digest = postings_digest(postings);
   stmt.epoch = epoch_;
-  e.attestation = TermAttestation{stmt, owner_key.sign(stmt.encode())};
 
-  BloomStatement bstmt;
-  bstmt.term = term;
-  bstmt.doc_bloom = compress_bloom(e.doc_bloom);
-  bstmt.epoch = epoch_;
+  sw.reset();
+  e.attestation = TermAttestation{stmt, owner_key.sign(stmt.encode())};
+  BloomStatement bstmt{term, std::move(compressed), epoch_};
   e.bloom_attestation = BloomAttestation{bstmt, owner_key.sign(bstmt.encode())};
+  t.sign_seconds = sw.seconds();
   return e;
 }
 
@@ -102,14 +104,18 @@ IndexBuilder IndexBuilder::build(InvertedIndex index, const AccumulatorContext& 
   pooled_ctx.set_pool(&pool);
   sw.reset();
   std::vector<IndexEntry> built(lists.size());
+  std::vector<UpdateTimings> parts(lists.size());
   pool.parallel_for(0, groups.size(), [&](std::size_t gi) {
     for (std::size_t t : groups[gi]) {
-      built[t] = vidx.build_entry(*term_names[t], *lists[t], pooled_ctx, owner_key);
+      built[t] = vidx.build_entry(*term_names[t], *lists[t], pooled_ctx, owner_key, parts[t]);
     }
   });
+  double bloom_seconds = 0, sign_seconds = 0;
   for (std::size_t t = 0; t < built.size(); ++t) {
     vidx.entries_.emplace(*term_names[t],
                           std::make_shared<const IndexEntry>(std::move(built[t])));
+    bloom_seconds += parts[t].bloom_seconds;
+    sign_seconds += parts[t].sign_seconds;
   }
   double accumulate_seconds = sw.seconds();
 
@@ -119,6 +125,8 @@ IndexBuilder IndexBuilder::build(InvertedIndex index, const AccumulatorContext& 
   if (stats != nullptr) {
     stats->prime_precompute_seconds = prime_seconds;
     stats->accumulate_seconds = accumulate_seconds;
+    stats->bloom_seconds = bloom_seconds;
+    stats->sign_seconds = sign_seconds;
     stats->dictionary_seconds = dict_seconds;
     stats->records = vidx.index_.record_count();
     stats->terms = vidx.entries_.size();
@@ -333,77 +341,9 @@ UpdateTimings IndexBuilder::add_documents(const std::vector<Document>& docs,
     }
   }
   t.touched_terms = added.size();
-  bool new_terms = false;
 
-  for (auto& [term, new_postings] : added) {
-    dirty_terms_.insert(term);
-    removed_terms_.erase(term);  // a re-appearing term is an upsert again
-    auto it = entries_.find(term);
-    if (it == entries_.end()) {
-      // Brand-new term: build its entry from scratch (small list).
-      Stopwatch sw;
-      IndexEntry e = build_entry(term, *index_.find(term), owner_ctx, owner_key);
-      t.new_term_seconds += sw.seconds();
-      ++t.new_terms;
-      entries_.emplace(term, std::make_shared<const IndexEntry>(std::move(e)));
-      new_terms = true;
-      continue;
-    }
-    // Copy-on-write: clone the touched entry so snapshots from earlier
-    // epochs keep serving the pre-update version untouched.
-    auto clone = std::make_shared<IndexEntry>(*it->second);
-    IndexEntry& e = *clone;
-    U64Set new_tuples, new_docs;
-    for (const Posting& p : new_postings) {
-      new_tuples.push_back(InvertedIndex::encode_tuple(p));
-      new_docs.push_back(InvertedIndex::encode_doc(p.doc_id));
-      e.postings.push_back(p);
-    }
-    std::sort(new_tuples.begin(), new_tuples.end());
-    std::sort(new_docs.begin(), new_docs.end());
-
-    // Eq 5: flat accumulator updates — cost proportional to the *added*
-    // elements only, independent of the existing set size.
-    Stopwatch sw;
-    std::vector<Bigint> tuple_reps, doc_reps;
-    for (std::uint64_t v : new_tuples) tuple_reps.push_back(tuple_primes_->get(v));
-    for (std::uint64_t v : new_docs) doc_reps.push_back(doc_primes_->get(v));
-    TermStatement stmt = e.attestation.stmt;
-    stmt.tuple_acc = owner_ctx.add_elements(stmt.tuple_acc, tuple_reps);
-    stmt.doc_acc = owner_ctx.add_elements(stmt.doc_acc, doc_reps);
-    t.flat_accumulator_seconds += sw.seconds();
-
-    // Bloom: decompress the signed filter, add, recompress (§V-D).
-    sw.reset();
-    CountingBloom stored = decompress_bloom(e.bloom_attestation.stmt.doc_bloom);
-    for (std::uint64_t d : new_docs) {
-      stored.add(d);
-      e.doc_bloom.add(d);
-    }
-    CompressedBloom recompressed = compress_bloom(stored);
-    t.bloom_seconds += sw.seconds();
-
-    // Interval trees: incremental insert into touched intervals.
-    sw.reset();
-    e.tuple_intervals.insert(owner_ctx, new_tuples, *tuple_primes_);
-    e.doc_intervals.insert(owner_ctx, new_docs, *doc_primes_);
-    stmt.tuple_root = e.tuple_intervals.root();
-    stmt.doc_root = e.doc_intervals.root();
-    t.interval_seconds += sw.seconds();
-
-    // Re-sign the updated statements at the new epoch.
-    sw.reset();
-    stmt.posting_count = e.postings.size();
-    stmt.postings_digest = postings_digest(e.postings);
-    stmt.epoch = epoch_;
-    e.attestation = TermAttestation{stmt, owner_key.sign(stmt.encode())};
-    BloomStatement bstmt{term, std::move(recompressed), epoch_};
-    e.bloom_attestation = BloomAttestation{bstmt, owner_key.sign(bstmt.encode())};
-    t.sign_seconds += sw.seconds();
-    it->second = std::move(clone);
-  }
-
-  if (rebuild_dict && new_terms) {
+  refresh_terms(added, /*adding=*/true, owner_ctx, owner_key, t);
+  if (rebuild_dict && t.new_terms > 0) {
     t.dictionary_seconds = rebuild_dictionary(owner_ctx, owner_key);
   }
   return t;
@@ -424,77 +364,163 @@ UpdateTimings IndexBuilder::remove_documents(std::span<const std::uint64_t> doc_
   auto removed = index_.remove_documents(sorted_ids);
   t.touched_terms = removed.size();
   bool terms_vanished = false;
-
-  for (auto& [term, gone] : removed) {
-    auto it = entries_.find(term);
-    if (it == entries_.end()) continue;  // defensive; should not happen
-    t.added_postings += gone.size();  // postings *changed* by this update
-
-    if (index_.find(term) == nullptr) {
-      // Every posting of this term is gone: drop the whole entry.
-      entries_.erase(it);
-      terms_vanished = true;
-      removed_terms_.insert(term);
-      dirty_terms_.erase(term);
+  for (auto it = removed.begin(); it != removed.end();) {
+    auto entry = entries_.find(it->first);
+    if (entry == entries_.end()) {  // defensive; should not happen
+      it = removed.erase(it);
       continue;
     }
-    dirty_terms_.insert(term);
-
-    // Copy-on-write, as in add_documents.
-    auto clone = std::make_shared<IndexEntry>(*it->second);
-    IndexEntry& e = *clone;
-    U64Set gone_tuples, gone_docs;
-    for (const Posting& p : gone) {
-      gone_tuples.push_back(InvertedIndex::encode_tuple(p));
-      gone_docs.push_back(InvertedIndex::encode_doc(p.doc_id));
+    t.added_postings += it->second.size();  // postings *changed* by this update
+    if (index_.find(it->first) != nullptr) {
+      ++it;
+      continue;
     }
-    std::sort(gone_tuples.begin(), gone_tuples.end());
-    std::sort(gone_docs.begin(), gone_docs.end());
-    e.postings = *index_.find(term);
-
-    // Eq 6: flat accumulator deletion via the inverse exponent mod phi(n).
-    Stopwatch sw;
-    std::vector<Bigint> tuple_reps, doc_reps;
-    for (std::uint64_t v : gone_tuples) tuple_reps.push_back(tuple_primes_->get(v));
-    for (std::uint64_t v : gone_docs) doc_reps.push_back(doc_primes_->get(v));
-    TermStatement stmt = e.attestation.stmt;
-    stmt.tuple_acc = owner_ctx.delete_elements(stmt.tuple_acc, tuple_reps);
-    stmt.doc_acc = owner_ctx.delete_elements(stmt.doc_acc, doc_reps);
-    t.flat_accumulator_seconds += sw.seconds();
-
-    // Bloom: counter decrements + recompress the signed filter.
-    sw.reset();
-    CountingBloom stored = decompress_bloom(e.bloom_attestation.stmt.doc_bloom);
-    for (std::uint64_t d : gone_docs) {
-      stored.remove(d);
-      e.doc_bloom.remove(d);
-    }
-    CompressedBloom recompressed = compress_bloom(stored);
-    t.bloom_seconds += sw.seconds();
-
-    // Interval trees: in-place element removal (on the clone).
-    sw.reset();
-    e.tuple_intervals.remove(owner_ctx, gone_tuples, *tuple_primes_);
-    e.doc_intervals.remove(owner_ctx, gone_docs, *doc_primes_);
-    stmt.tuple_root = e.tuple_intervals.root();
-    stmt.doc_root = e.doc_intervals.root();
-    t.interval_seconds += sw.seconds();
-
-    sw.reset();
-    stmt.posting_count = e.postings.size();
-    stmt.postings_digest = postings_digest(e.postings);
-    stmt.epoch = epoch_;
-    e.attestation = TermAttestation{stmt, owner_key.sign(stmt.encode())};
-    BloomStatement bstmt{term, std::move(recompressed), epoch_};
-    e.bloom_attestation = BloomAttestation{bstmt, owner_key.sign(bstmt.encode())};
-    t.sign_seconds += sw.seconds();
-    it->second = std::move(clone);
+    // Every posting of this term is gone: drop the whole entry.
+    entries_.erase(entry);
+    terms_vanished = true;
+    removed_terms_.insert(it->first);
+    dirty_terms_.erase(it->first);
+    it = removed.erase(it);
   }
 
+  refresh_terms(removed, /*adding=*/false, owner_ctx, owner_key, t);
   if (rebuild_dict && terms_vanished) {
     t.dictionary_seconds = rebuild_dictionary(owner_ctx, owner_key);
   }
   return t;
+}
+
+void IndexBuilder::refresh_terms(const std::map<std::string, PostingList, std::less<>>& changed,
+                                 bool adding, const AccumulatorContext& owner_ctx,
+                                 const SigningKey& owner_key, UpdateTimings& t) {
+  struct Refresh {
+    const std::string* term;
+    const PostingList* changed;
+    const IndexEntry* old;  // null for a brand-new term
+    std::shared_ptr<const IndexEntry> entry;
+    UpdateTimings t;
+  };
+  std::vector<Refresh> work;
+  work.reserve(changed.size());
+  for (const auto& [term, postings] : changed) {
+    auto it = entries_.find(term);
+    work.push_back(Refresh{.term = &term,
+                           .changed = &postings,
+                           .old = it == entries_.end() ? nullptr : it->second.get(),
+                           .entry = nullptr,
+                           .t = {}});
+  }
+  // Terms are independent: each refresh writes only its own slot, and the
+  // prime caches and the signing key are safe to share.  The cooperative
+  // parallel_for lets the per-interval fan-outs inside each refresh nest on
+  // the same pool.  The commit below is serial and in term order, so no
+  // byte depends on scheduling.
+  auto body = [&](std::size_t i) {
+    Refresh& r = work[i];
+    r.entry = refresh_entry(*r.term, r.old, *r.changed, adding, owner_ctx, owner_key, r.t);
+  };
+  if (ThreadPool* pool = owner_ctx.pool(); pool != nullptr && work.size() > 1) {
+    pool->parallel_for(0, work.size(), body);
+  } else {
+    for (std::size_t i = 0; i < work.size(); ++i) body(i);
+  }
+  for (Refresh& r : work) {
+    entries_.insert_or_assign(*r.term, std::move(r.entry));
+    dirty_terms_.insert(*r.term);
+    removed_terms_.erase(*r.term);  // a re-appearing term is an upsert again
+    t.flat_accumulator_seconds += r.t.flat_accumulator_seconds;
+    t.bloom_seconds += r.t.bloom_seconds;
+    t.interval_seconds += r.t.interval_seconds;
+    t.sign_seconds += r.t.sign_seconds;
+    t.new_term_seconds += r.t.new_term_seconds;
+    t.new_terms += r.t.new_terms;
+  }
+}
+
+std::shared_ptr<const IndexEntry> IndexBuilder::refresh_entry(
+    const std::string& term, const IndexEntry* old, const PostingList& changed, bool adding,
+    const AccumulatorContext& owner_ctx, const SigningKey& owner_key, UpdateTimings& t) const {
+  const PostingList& postings = *index_.find(term);
+  if (old == nullptr) {
+    // Brand-new term: build its entry from scratch (small list).  Its layer
+    // split stays out of the per-layer sums; new_term_seconds has it all.
+    Stopwatch sw;
+    UpdateTimings parts;
+    auto e = std::make_shared<const IndexEntry>(
+        build_entry(term, postings, owner_ctx, owner_key, parts));
+    t.new_term_seconds = sw.seconds();
+    t.new_terms = 1;
+    return e;
+  }
+  // Copy-on-write: clone the touched entry so snapshots from earlier
+  // epochs keep serving the pre-update version untouched.
+  auto clone = std::make_shared<IndexEntry>(*old);
+  IndexEntry& e = *clone;
+  e.postings = postings;
+  U64Set tuples, docs;
+  for (const Posting& p : changed) {
+    tuples.push_back(InvertedIndex::encode_tuple(p));
+    docs.push_back(InvertedIndex::encode_doc(p.doc_id));
+  }
+  std::sort(tuples.begin(), tuples.end());
+  std::sort(docs.begin(), docs.end());
+
+  // Flat accumulators: Eq 5 on add, Eq 6 (the inverse exponent mod φ(n)) on
+  // remove — cost proportional to the changed elements only, independent
+  // of the existing set size.
+  Stopwatch sw;
+  std::vector<Bigint> tuple_reps, doc_reps;
+  for (std::uint64_t v : tuples) tuple_reps.push_back(tuple_primes_->get(v));
+  for (std::uint64_t v : docs) doc_reps.push_back(doc_primes_->get(v));
+  TermStatement stmt = e.attestation.stmt;
+  if (adding) {
+    stmt.tuple_acc = owner_ctx.add_elements(stmt.tuple_acc, tuple_reps);
+    stmt.doc_acc = owner_ctx.add_elements(stmt.doc_acc, doc_reps);
+  } else {
+    stmt.tuple_acc = owner_ctx.delete_elements(stmt.tuple_acc, tuple_reps);
+    stmt.doc_acc = owner_ctx.delete_elements(stmt.doc_acc, doc_reps);
+  }
+  t.flat_accumulator_seconds = sw.seconds();
+
+  // Bloom: decompress the signed filter, count the changed documents in or
+  // out, recompress (§V-D).
+  sw.reset();
+  CountingBloom stored = decompress_bloom(e.bloom_attestation.stmt.doc_bloom);
+  for (std::uint64_t d : docs) {
+    if (adding) {
+      stored.add(d);
+      e.doc_bloom.add(d);
+    } else {
+      stored.remove(d);
+      e.doc_bloom.remove(d);
+    }
+  }
+  CompressedBloom recompressed = compress_bloom(stored);
+  t.bloom_seconds = sw.seconds();
+
+  // Interval trees: incremental insert or removal on the clone.
+  sw.reset();
+  if (adding) {
+    e.tuple_intervals.insert(owner_ctx, tuples, *tuple_primes_);
+    e.doc_intervals.insert(owner_ctx, docs, *doc_primes_);
+  } else {
+    e.tuple_intervals.remove(owner_ctx, tuples, *tuple_primes_);
+    e.doc_intervals.remove(owner_ctx, docs, *doc_primes_);
+  }
+  stmt.tuple_root = e.tuple_intervals.root();
+  stmt.doc_root = e.doc_intervals.root();
+  t.interval_seconds = sw.seconds();
+
+  // Re-sign the updated statements at the new epoch.
+  sw.reset();
+  stmt.posting_count = e.postings.size();
+  stmt.postings_digest = postings_digest(e.postings);
+  stmt.epoch = epoch_;
+  e.attestation = TermAttestation{stmt, owner_key.sign(stmt.encode())};
+  BloomStatement bstmt{term, std::move(recompressed), epoch_};
+  e.bloom_attestation = BloomAttestation{bstmt, owner_key.sign(bstmt.encode())};
+  t.sign_seconds = sw.seconds();
+  return clone;
 }
 
 }  // namespace vc

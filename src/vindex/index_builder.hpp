@@ -33,16 +33,25 @@ namespace vc {
 
 class ThreadPool;
 
+// Build costs.  prime_precompute_seconds, accumulate_seconds and
+// dictionary_seconds are wall time per phase; bloom_seconds and
+// sign_seconds are per-term seconds summed across pool workers, spent
+// inside the accumulate phase.
 struct BuildStats {
   double prime_precompute_seconds = 0;  // Table II's cost, paid offline
-  double accumulate_seconds = 0;        // flat + interval accumulators
-  double bloom_seconds = 0;
-  double sign_seconds = 0;
+  double accumulate_seconds = 0;        // per-term entries: accumulators, Bloom, signing
+  double bloom_seconds = 0;             // Bloom build + compression, summed per term
+  double sign_seconds = 0;              // both attestations, summed per term
   double dictionary_seconds = 0;
   std::uint64_t records = 0;
   std::size_t terms = 0;
 };
 
+// Per-layer cost of one add_documents / remove_documents call.  Touched
+// terms refresh in parallel over the owner context's pool, so every layer
+// figure (flat accumulator, Bloom, interval, sign, new-term) is the per-term
+// seconds summed across workers, not wall time: with a pool, interval_seconds
+// alone can exceed the call's wall time.  dictionary_seconds is wall time.
 struct UpdateTimings {
   double flat_accumulator_seconds = 0;  // Eq 5 updates (Accumulator scheme)
   double bloom_seconds = 0;             // decompress + add + recompress (Bloom)
@@ -127,7 +136,9 @@ class IndexBuilder {
   // `rebuild_dictionary` re-derives the gap structure when new terms
   // appeared (skippable for measurement runs that follow the paper's Fig 8
   // scope; a skipped rebuild leaves unknown-keyword proofs stale for the
-  // new terms until the next rebuild).
+  // new terms until the next rebuild).  Touched terms refresh in parallel
+  // over owner_ctx's pool when one is attached; every byte is the same
+  // without it.
   UpdateTimings add_documents(const std::vector<Document>& docs,
                               const AccumulatorContext& owner_ctx,
                               const SigningKey& owner_key, bool rebuild_dictionary = true);
@@ -136,7 +147,8 @@ class IndexBuilder {
   // accumulators shrink via the modular-inverse update, Bloom counters
   // decrement, interval trees drop the elements from cloned entries.  Terms
   // whose posting lists empty out disappear from the index (and from the
-  // dictionary when `rebuild_dictionary` is set).
+  // dictionary when `rebuild_dictionary` is set).  Runs the same per-term
+  // refresh as add_documents, pool included.
   UpdateTimings remove_documents(std::span<const std::uint64_t> doc_ids,
                                  const AccumulatorContext& owner_ctx,
                                  const SigningKey& owner_key,
@@ -187,8 +199,29 @@ class IndexBuilder {
         tuple_primes_(std::make_shared<PrimeCache>(config.tuple_prime_config())),
         doc_primes_(std::make_shared<PrimeCache>(config.doc_prime_config())) {}
 
+  // Builds one term's entry from scratch; the Bloom and signing seconds go
+  // into `t`.
   IndexEntry build_entry(const std::string& term, const PostingList& postings,
-                         const AccumulatorContext& owner_ctx, const SigningKey& owner_key) const;
+                         const AccumulatorContext& owner_ctx, const SigningKey& owner_key,
+                         UpdateTimings& t) const;
+
+  // The update loop shared by add_documents and remove_documents: refreshes
+  // every term of `changed` (its added or removed postings) with
+  // refresh_entry, fanned out over owner_ctx's pool when one is attached,
+  // then commits the new entries and dirty marks serially in term order
+  // and adds the per-term seconds into `t`.  Every changed term must still
+  // be in the inverted index.
+  void refresh_terms(const std::map<std::string, PostingList, std::less<>>& changed,
+                     bool adding, const AccumulatorContext& owner_ctx,
+                     const SigningKey& owner_key, UpdateTimings& t);
+  // One term's copy-on-write refresh: Eq 5 (adding) or Eq 6 on the flat
+  // accumulators, Bloom counters, interval insert/remove, and both
+  // statements re-signed at the current epoch.  A term without an `old`
+  // entry is built from scratch.  Reads only shared-safe state.
+  [[nodiscard]] std::shared_ptr<const IndexEntry> refresh_entry(
+      const std::string& term, const IndexEntry* old, const PostingList& changed, bool adding,
+      const AccumulatorContext& owner_ctx, const SigningKey& owner_key,
+      UpdateTimings& t) const;
 
   // Marks the start of a committed mutation: bumps the epoch that re-signed
   // statements will carry and invalidates the cached snapshot.

@@ -11,6 +11,7 @@
 #include "protocol/cloud.hpp"
 #include "obs/metrics.hpp"
 #include "search/engine.hpp"
+#include "store/delta_codec.hpp"
 #include "support/errors.hpp"
 #include "support/threadpool.hpp"
 #include "text/synth.hpp"
@@ -298,6 +299,175 @@ TEST(Concurrency, PostUpdateSnapshotEquivalentToFreshBuild) {
     const auto& mb = std::get<MultiKeywordResponse>(b.body);
     EXPECT_EQ(ma.result.docs, mb.result.docs) << "scheme " << scheme;
     EXPECT_EQ(ma.result.postings, mb.result.postings) << "scheme " << scheme;
+  }
+}
+
+// Everything one entry contributes to a snapshot or a delta, as bytes.
+Bytes entry_bytes(const IndexEntry& e) {
+  ByteWriter w;
+  e.tuple_intervals.write(w);
+  e.doc_intervals.write(w);
+  e.attestation.write(w);
+  e.bloom_attestation.write(w);
+  return std::move(w).take();
+}
+
+// add_documents / remove_documents refresh touched terms in parallel when
+// the owner context carries a pool.  The pool may only change when the work
+// runs, never a byte: every entry, both attestations and the published
+// delta must match the inline run exactly.
+TEST(Concurrency, PooledUpdateByteIdenticalToInline) {
+  VerifiableIndexConfig cfg;
+  cfg.modulus_bits = 512;
+  cfg.rep_bits = 64;
+  cfg.interval_size = 4;  // small, so added postings split intervals
+  cfg.prime_mr_rounds = 24;
+  cfg.bloom = BloomParams{.counters = 256, .hashes = 1, .domain = "upd"};
+  auto owner_ctx = AccumulatorContext::owner(standard_accumulator_modulus(512),
+                                             standard_qr_generator(512));
+  DeterministicRng rng(1601);
+  SigningKey owner_key = generate_signing_key(rng, 512);
+  ThreadPool build_pool(2);
+  ThreadPool update_pool(3);
+  AccumulatorContext pooled_ctx = owner_ctx;
+  pooled_ctx.set_pool(&update_pool);
+
+  SynthSpec spec{.name = "upd", .num_docs = 30, .min_doc_words = 20,
+                 .max_doc_words = 40, .vocab_size = 120, .zipf_s = 0.9, .seed = 71};
+  Corpus base = generate_corpus(spec);
+  SynthSpec more = spec;
+  more.num_docs = 6;
+  more.seed = 72;
+  std::vector<Document> extra;
+  for (const Document& d : generate_corpus(more)) {
+    extra.push_back(Document{spec.num_docs + d.id, d.name, d.text + " brandnewterm"});
+  }
+
+  IndexBuilder inline_b = IndexBuilder::build(InvertedIndex::build(base), owner_ctx,
+                                              owner_key, cfg, build_pool);
+  IndexBuilder pooled_b = IndexBuilder::build(InvertedIndex::build(base), owner_ctx,
+                                              owner_key, cfg, build_pool);
+  inline_b.note_full_publish();
+  pooled_b.note_full_publish();
+
+  auto expect_identical = [&](const char* step) {
+    SCOPED_TRACE(step);
+    SnapshotPtr a = inline_b.snapshot();
+    SnapshotPtr b = pooled_b.snapshot();
+    ASSERT_EQ(a->term_count(), b->term_count());
+    for (const auto& [term, entry] : a->entries()) {
+      const IndexEntry* other = b->find(term);
+      ASSERT_NE(other, nullptr) << term;
+      EXPECT_EQ(entry_bytes(*entry), entry_bytes(*other)) << term;
+    }
+    std::optional<IndexDelta> da = inline_b.publish_delta();
+    std::optional<IndexDelta> db = pooled_b.publish_delta();
+    ASSERT_TRUE(da.has_value() && db.has_value());
+    EXPECT_EQ(store::encode_delta(*da, 1), store::encode_delta(*db, 1));
+  };
+
+  UpdateTimings ta = inline_b.add_documents(extra, owner_ctx, owner_key);
+  UpdateTimings tb = pooled_b.add_documents(extra, pooled_ctx, owner_key);
+  EXPECT_GT(ta.touched_terms, 1u);
+  EXPECT_EQ(ta.touched_terms, tb.touched_terms);
+  EXPECT_EQ(ta.new_terms, tb.new_terms);
+  EXPECT_GE(tb.new_terms, 1u);
+  EXPECT_EQ(ta.added_postings, tb.added_postings);
+  expect_identical("add_documents");
+
+  // Removing every added document plus two base ones: some terms shrink,
+  // and the added-only terms vanish from the index.
+  std::vector<std::uint64_t> gone = {3, 17};
+  for (const Document& d : extra) gone.push_back(d.id);
+  ta = inline_b.remove_documents(gone, owner_ctx, owner_key);
+  tb = pooled_b.remove_documents(gone, pooled_ctx, owner_key);
+  EXPECT_EQ(ta.touched_terms, tb.touched_terms);
+  EXPECT_EQ(ta.added_postings, tb.added_postings);
+  EXPECT_EQ(inline_b.find("brandnewterm"), nullptr);
+  expect_identical("remove_documents");
+  EXPECT_NO_THROW(pooled_b.validate(owner_key.verify_key()));
+}
+
+// The middle layer as IntervalIndex::write lays it out: each interval's
+// descriptor, its cached representative and its witness c_{b_k}.
+struct MiddleEntry {
+  IntervalDescriptor desc;
+  Bigint mid_rep;
+  Bigint mid_witness;
+};
+
+std::vector<MiddleEntry> read_middle_layer(const IntervalIndex& idx, Bigint& root) {
+  ByteWriter w;
+  idx.write(w);
+  ByteReader r(w.data());
+  auto skip_members = [&r] {
+    for (std::uint64_t n = r.varint(); n > 0; --n) (void)r.varint();
+  };
+  (void)r.str();     // tag
+  (void)r.varint();  // interval size
+  (void)r.varint();  // element prime config: rep bits, domain, MR rounds
+  (void)r.str();
+  (void)r.varint();
+  root = Bigint::read(r);
+  skip_members();  // all elements
+  std::vector<MiddleEntry> out(r.varint());
+  for (MiddleEntry& e : out) {
+    e.desc = IntervalDescriptor::read(r);
+    skip_members();
+    e.mid_rep = Bigint::read(r);
+    e.mid_witness = Bigint::read(r);
+  }
+  r.expect_done();
+  return out;
+}
+
+// insert / remove re-derive only the stale intervals' representatives and
+// reuse every other cached one.  After each step every cached rep must still
+// be the one its descriptor hashes to, and every c_{b_k} must verify it
+// against the new root — a stale cached rep fails both.
+TEST(Concurrency, IntervalUpdatesKeepMiddleLayerFresh) {
+  auto owner_ctx = AccumulatorContext::owner(standard_accumulator_modulus(512),
+                                             standard_qr_generator(512));
+  ThreadPool pool(3);
+  PrimeCache primes(PrimeRepConfig{.rep_bits = 64, .domain = "mid", .mr_rounds = 24});
+  PrimeRepGenerator mid_gen = IntervalIndex::middle_generator(primes.generator().config());
+  std::vector<std::uint64_t> elems;
+  for (std::uint64_t v = 0; v < 40; ++v) elems.push_back(v * 10);
+
+  for (bool pooled : {false, true}) {
+    SCOPED_TRACE(pooled ? "pooled" : "inline");
+    AccumulatorContext ctx = owner_ctx;
+    if (pooled) ctx.set_pool(&pool);
+    IntervalIndex idx = IntervalIndex::build(ctx, elems, primes, IntervalConfig{.interval_size = 4});
+    const std::size_t built_count = idx.interval_count();
+
+    auto expect_fresh = [&](const char* step) {
+      SCOPED_TRACE(step);
+      Bigint root;
+      std::vector<MiddleEntry> layer = read_middle_layer(idx, root);
+      ASSERT_EQ(layer.size(), idx.interval_count());
+      EXPECT_EQ(root, idx.root());
+      for (std::size_t k = 0; k < layer.size(); ++k) {
+        const MiddleEntry& e = layer[k];
+        EXPECT_EQ(e.mid_rep, mid_gen.representative(e.desc.encode())) << "interval " << k;
+        std::vector<Bigint> rep = {e.mid_rep};
+        EXPECT_TRUE(verify_membership(ctx, root, e.mid_witness, rep)) << "interval " << k;
+      }
+    };
+
+    std::vector<std::uint64_t> one = {41};  // lands in one interval, no split
+    idx.insert(ctx, one, primes);
+    EXPECT_EQ(idx.interval_count(), built_count);
+    expect_fresh("insert");
+
+    std::vector<std::uint64_t> many = {101, 102, 103, 104, 105, 106};  // splits one
+    idx.insert(ctx, many, primes);
+    EXPECT_GT(idx.interval_count(), built_count);
+    expect_fresh("insert with split");
+
+    std::vector<std::uint64_t> gone = {0, 10, 20, 30, 103, 390};
+    idx.remove(ctx, gone, primes);
+    expect_fresh("remove");
   }
 }
 

@@ -8,6 +8,7 @@
 #include "interval/dict_intervals.hpp"
 #include "interval/interval_index.hpp"
 #include "support/errors.hpp"
+#include "support/rng.hpp"
 #include "support/threadpool.hpp"
 
 namespace vc {
@@ -431,8 +432,29 @@ TEST_F(BatchWitnessTest, FixedBaseBatchMatchesGeneric) {
   EXPECT_EQ(fixed.accumulate(xs), pub_.accumulate(xs));
 
   AccumulatorContext fixed_owner = owner_;
-  fixed_owner.enable_fixed_base(0);  // owner tables are φ(n)-sized anyway
+  fixed_owner.enable_fixed_base(0);  // a no-op: owner() already built the tables
   EXPECT_EQ(fixed_owner.accumulate(xs), owner_.accumulate(xs));
+  EXPECT_EQ(fixed_owner.accumulate(xs), pub_.accumulate(xs));
+}
+
+// owner() builds the trapdoor-side fixed-base tables for g itself; every
+// owner g^e must still equal the plain powm, for any exponent width: zero,
+// short, φ(n)-sized and beyond φ(n) (reduced per prime factor first).
+TEST_F(BatchWitnessTest, OwnerFixedBaseMatchesPlainPowm) {
+  ASSERT_TRUE(owner_.power().has_fixed_base(owner_.g()));
+  const Bigint& g = owner_.g();
+  const Bigint& n = owner_.n();
+  const Bigint& phi = owner_.power().phi();
+  DeterministicRng rng(4242);
+  std::vector<Bigint> exps = {Bigint(0), Bigint(1), Bigint(2), phi, phi + Bigint(1),
+                              phi * Bigint(3) + Bigint(7)};
+  for (std::size_t bits : {8u, 64u, 200u, 511u, 512u, 1024u, 3000u}) {
+    exps.push_back(Bigint::random_bits(rng, bits));
+  }
+  for (int i = 0; i < 8; ++i) exps.push_back(Bigint::random_below(rng, phi));
+  for (const Bigint& e : exps) {
+    EXPECT_EQ(owner_.power().pow(g, e), Bigint::pow_mod(g, e, n)) << e.to_decimal();
+  }
 }
 
 TEST_F(BatchWitnessTest, PooledIntervalIndexByteIdenticalToSerial) {

@@ -7,7 +7,9 @@
 #include "protocol/http.hpp"
 #include "protocol/owner.hpp"
 #include "support/errors.hpp"
+#include "test_fixtures.hpp"
 #include "text/stemmer.hpp"
+#include "text/tokenizer.hpp"
 
 namespace vc {
 namespace {
@@ -171,6 +173,45 @@ TEST_F(ProtocolTest, SignedQuerySerializationRoundtrip) {
 }
 
 // --- workload shape -------------------------------------------------------------
+
+// A boolean query naming a word that normalize_term does not fix in one
+// pass must be served against its once-normalized leaves.  The engine used
+// to normalize the leaves a second time ("mudimicer" -> "mudimic" ->
+// "mudim"), classify "mudim" as unknown and have its honest response
+// rejected with "expression leaves do not match proven terms".
+TEST(BooleanNormalization, NonIdempotentStemIsServedAndVerified) {
+  ASSERT_EQ(normalize_term("mudimicer"), "mudimic");
+  ASSERT_NE(normalize_term("mudimic"), "mudimic");  // the case this test is for
+
+  Corpus corpus;
+  corpus.add("d0", "gojuniku mudimicer harbor");
+  corpus.add("d1", "mudimicer harbor lantern");
+  corpus.add("d2", "gojuniku lantern");
+  corpus.add("d3", "harbor lantern quiet");
+  VerifiableIndexConfig cfg = testbed::small_config();
+  auto owner_ctx = AccumulatorContext::owner(standard_accumulator_modulus(cfg.modulus_bits),
+                                             standard_qr_generator(cfg.modulus_bits));
+  auto pub_ctx = AccumulatorContext::public_side(owner_ctx.params());
+  DeterministicRng rng(1701);
+  SigningKey owner_key = generate_signing_key(rng, 512);
+  SigningKey cloud_key = generate_signing_key(rng, 512);
+  ThreadPool pool(2);
+  IndexBuilder vidx =
+      IndexBuilder::build(InvertedIndex::build(corpus), owner_ctx, owner_key, cfg, pool);
+  ASSERT_NE(vidx.find("mudimic"), nullptr);
+
+  for (SchemeKind scheme : {SchemeKind::kAccumulator, SchemeKind::kBloom,
+                            SchemeKind::kIntervalAccumulator, SchemeKind::kHybrid}) {
+    CloudService cloud(vidx.snapshot(), pub_ctx, cloud_key, owner_key.verify_key(), &pool,
+                       scheme);
+    DataOwner owner(owner_ctx, owner_key, cloud_key.verify_key(), cfg);
+    SearchResponse resp = cloud.handle(owner.issue_expression_query("gojuniku OR mudimicer"));
+    ASSERT_NO_THROW(owner.receive_response(resp)) << scheme_name(scheme);
+    const auto& body = std::get<BooleanQueryResponse>(resp.body);
+    EXPECT_EQ(body.terms, (std::vector<std::string>{"gojuniku", "mudimic"}));
+    EXPECT_EQ(body.docs, (std::vector<std::uint64_t>{0, 1, 2}));
+  }
+}
 
 TEST(Workload, PaperMixShape) {
   SynthSpec spec{.name = "w", .num_docs = 100, .vocab_size = 1000, .seed = 7};

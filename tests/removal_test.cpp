@@ -42,6 +42,8 @@ class RemovalTest : public ::testing::Test {
     corpus.add("unique", "onlyhereterm " + synth_word(spec_, 0));
     vidx_ = std::make_unique<IndexBuilder>(IndexBuilder::build(
         InvertedIndex::build(corpus), owner_ctx_, owner_key_, small_config(), pool_));
+    // Later updates refresh their touched terms in parallel over this pool.
+    owner_ctx_.set_pool(&pool_);
   }
 
   AccumulatorContext owner_ctx_;

@@ -69,6 +69,14 @@ TEST_F(VIndexTest, BuildCoversAllTerms) {
   EXPECT_GT(stats_.prime_precompute_seconds, 0.0);
 }
 
+// The Bloom and signing parts of each entry are timed per term and summed;
+// with a pool, the sums may exceed the phase's wall time, never vanish.
+TEST_F(VIndexTest, BuildStatsSplitBloomAndSigning) {
+  EXPECT_GT(stats_.bloom_seconds, 0.0);
+  EXPECT_GT(stats_.sign_seconds, 0.0);
+  EXPECT_GT(stats_.accumulate_seconds, 0.0);
+}
+
 TEST_F(VIndexTest, EntriesInternallyConsistent) {
   for (const auto& term : vidx_->index().dictionary()) {
     const auto* e = vidx_->find(term);
