@@ -25,6 +25,16 @@ obs::Counter& fixed_misses() {
       obs::MetricsRegistry::global().counter("vc_fixedbase_total", "result=\"miss\"");
   return c;
 }
+// Table builds by kind: "full" derives every entry from the base, "grow"
+// keeps a held public-side table and appends only the missing entries.
+obs::Counter& fixed_builds(bool grow) {
+  static obs::Counter& full = obs::MetricsRegistry::global().counter(
+      "vc_fixedbase_builds_total", "kind=\"full\"",
+      "Fixed-base table builds: full rebuilds and in-place growth");
+  static obs::Counter& grown =
+      obs::MetricsRegistry::global().counter("vc_fixedbase_builds_total", "kind=\"grow\"");
+  return grow ? grown : full;
+}
 obs::Counter& pow_calls() {
   static obs::Counter& c = obs::MetricsRegistry::global().counter(
       "vc_pow_total", "", "Modular exponentiations through PowerContext");
@@ -78,19 +88,31 @@ std::size_t pick_window(std::size_t capacity_bits) {
   return best_w;
 }
 
+std::size_t clamp_capacity(std::size_t capacity_bits) {
+  return std::max<std::size_t>(1, std::min(capacity_bits, kMaxFixedCapacityBits));
+}
+
+// Appends powers[i] = powers[i-1]^(2^window) — `window` squarings via one
+// powm each — until the table serves `capacity_bits`.  A grown table is
+// therefore entry for entry the table a fresh build of the same capacity
+// and window would produce.
+void extend_sub(FixedSub& sub, std::size_t capacity_bits) {
+  sub.capacity_bits = capacity_bits;
+  std::size_t entries = (capacity_bits + sub.window - 1) / sub.window;
+  sub.powers.reserve(entries);
+  const Bigint step(long{1} << sub.window);
+  while (sub.powers.size() < entries) {
+    sub.powers.push_back(Bigint::pow_mod(sub.powers.back(), step, sub.mod));
+  }
+}
+
 FixedSub build_sub(const Bigint& base, const Bigint& mod, std::size_t capacity_bits) {
   FixedSub sub;
   sub.mod = mod;
-  sub.capacity_bits = std::max<std::size_t>(1, std::min(capacity_bits, kMaxFixedCapacityBits));
-  sub.window = pick_window(sub.capacity_bits);
-  std::size_t entries = (sub.capacity_bits + sub.window - 1) / sub.window;
-  sub.powers.reserve(entries);
+  capacity_bits = clamp_capacity(capacity_bits);
+  sub.window = pick_window(capacity_bits);
   sub.powers.push_back(Bigint::mod(base, mod));
-  for (std::size_t i = 1; i < entries; ++i) {
-    // powers[i] = powers[i-1]^(2^window): `window` squarings via one powm.
-    sub.powers.push_back(
-        Bigint::pow_mod(sub.powers.back(), Bigint(long{1} << sub.window), mod));
-  }
+  extend_sub(sub, capacity_bits);
   return sub;
 }
 
@@ -170,6 +192,21 @@ void PowerContext::prepare_fixed_base(const Bigint& base, std::size_t max_exp_bi
   // Trapdoor tables ignore max_exp_bits, so an existing one for this base is
   // already the table a rebuild would produce.
   if (trapdoor_ && fixed_base_matches(base)) return;
+  const std::size_t need = clamp_capacity(max_exp_bits);
+  if (!trapdoor_ && fixed_base_matches(base)) {
+    const FixedSub& held = fixed_->subs[0];
+    if (held.capacity_bits >= need) return;
+    if (pick_window(need) == held.window) {
+      // Grow: copy the held entries and append the missing ones, each only
+      // its own `window` squarings.  Copies of this context keep the old,
+      // narrower table — it is immutable once shared.
+      auto grown = std::make_shared<FixedBase>(*fixed_);
+      extend_sub(grown->subs[0], need);
+      fixed_ = std::move(grown);
+      fixed_builds(true).inc();
+      return;
+    }
+  }
   auto fixed = std::make_shared<FixedBase>();
   fixed->base = base;
   if (trapdoor_) {
@@ -177,9 +214,10 @@ void PowerContext::prepare_fixed_base(const Bigint& base, std::size_t max_exp_bi
     fixed->subs.push_back(build_sub(base, trapdoor_->p, trapdoor_->p.bit_length()));
     fixed->subs.push_back(build_sub(base, trapdoor_->q, trapdoor_->q.bit_length()));
   } else {
-    fixed->subs.push_back(build_sub(base, n_, max_exp_bits));
+    fixed->subs.push_back(build_sub(base, n_, need));
   }
   fixed_ = std::move(fixed);
+  fixed_builds(false).inc();
 }
 
 bool PowerContext::fixed_base_matches(const Bigint& base) const {

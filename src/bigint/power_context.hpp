@@ -57,10 +57,16 @@ class PowerContext {
   // for thousands of calls.  With the trapdoor, exponents are served after
   // reduction mod p-1 / q-1, so the two CRT tables are modulus-sized,
   // `max_exp_bits` is irrelevant to their memory, and a second call for the
-  // same base keeps the existing tables.  The table is immutable
-  // once built and shared by copies of this context; prepare it before
-  // publishing the context to other threads.  Results are identical to the
-  // generic path bit for bit.
+  // same base keeps the existing tables.  On the public side a held table
+  // for the same base that already serves `max_exp_bits` is kept; a
+  // narrower one grows (its entries are copied and only the missing ones
+  // derived, `window` squarings each), and only a change of the window that
+  // suits the new width — about once per doubling — rebuilds it whole.
+  // Builds are counted in vc_fixedbase_builds_total{kind="full"|"grow"}.
+  // A table is immutable once built and shared by copies of this context
+  // (growth swaps in a new one); prepare it before publishing the context
+  // to other threads.  Results are identical to the generic path bit for
+  // bit.
   void prepare_fixed_base(const Bigint& base, std::size_t max_exp_bits);
   [[nodiscard]] bool has_fixed_base(const Bigint& base) const {
     return fixed_ != nullptr && fixed_base_matches(base);

@@ -17,8 +17,17 @@ void write_u64set(ByteWriter& w, const U64Set& xs) {
   }
 }
 
-U64Set read_u64set(ByteReader& r) {
+// A count read off the wire sizes the reserve() below it.  Every element
+// takes at least one byte, so a count past the bytes left is malformed and
+// is rejected before anything is allocated.
+std::uint64_t read_count(ByteReader& r) {
   std::uint64_t n = r.varint();
+  if (n > r.remaining()) throw ParseError("element count exceeds the bytes left");
+  return n;
+}
+
+U64Set read_u64set(ByteReader& r) {
+  std::uint64_t n = read_count(r);
   U64Set out;
   out.reserve(n);
   std::uint64_t prev = 0;
@@ -40,7 +49,7 @@ void write_postings(ByteWriter& w, const PostingList& list) {
 }
 
 PostingList read_postings(ByteReader& r) {
-  std::uint64_t n = r.varint();
+  std::uint64_t n = read_count(r);
   PostingList out;
   out.reserve(n);
   std::uint32_t prev = 0;

@@ -101,28 +101,15 @@ CloudService::~CloudService() {
 }
 
 CloudService::StatePtr CloudService::build_state(const SnapshotPtr& snapshot) {
-  // Serialized across shard workers: the context's fixed-base table and
-  // fixed_base_bits_ are shared publish-path state.
+  // Serialized across shard workers: the context's fixed-base table is
+  // shared publish-path state.
   std::lock_guard lock(build_mu_);
   // Keep the shared fixed-base table for g wide enough for this snapshot's
-  // longest posting list: every epoch's engine then reuses the same table
-  // (it is shared through context copies) instead of rebuilding it.
-  std::size_t need = (std::max<std::size_t>(1, snapshot->max_posting_count()) + 1) *
-                     snapshot->config().rep_bits;
-  if (need > fixed_base_bits_) {
-    // A table already on the context (adopted from a persisted epoch, or
-    // handed in by the embedder) that covers this width is kept as-is — the
-    // whole point of persisting it is to not pay the rebuild squarings here.
-    std::size_t have = ctx_.power().has_fixed_base(ctx_.g())
-                           ? ctx_.power().fixed_base_capacity_bits()
-                           : 0;
-    if (have >= need) {
-      fixed_base_bits_ = have;
-    } else {
-      ctx_.enable_fixed_base(need);
-      fixed_base_bits_ = need;
-    }
-  }
+  // longest posting list: a held table that is wide enough is kept and a
+  // narrower one grows in place, so every epoch's engine reuses it (it is
+  // shared through context copies) instead of rebuilding it.
+  ctx_.enable_fixed_base((std::max<std::size_t>(1, snapshot->max_posting_count()) + 1) *
+                         snapshot->config().rep_bits);
   auto engine = std::make_shared<const SearchEngine>(snapshot, ctx_, key_, pool_,
                                                      shards_.size());
   auto& reg = obs::MetricsRegistry::global();
@@ -289,15 +276,25 @@ void CloudService::warm_shard(std::size_t shard, const EpochState& state) {
 }
 
 std::uint64_t CloudService::publish_from(const store::EpochStore& store) {
-  store::OpenedEpoch opened = store.open_current();
-  // A tiered epoch carries the public fixed-base table for g; adopting it
-  // makes the cold restart skip the capacity_bits squarings publish() would
-  // otherwise spend rebuilding the table from scratch.  The witness tier
-  // itself is already attached to the snapshot (lazy, mmap-backed) — no
-  // per-term witness is recomputed on reopen.
-  if (opened.fixed_base && opened.fixed_base->base == ctx_.g()) {
-    ctx_.adopt_fixed_base(*opened.fixed_base);
-    fixed_base_bits_ = std::max(fixed_base_bits_, opened.fixed_base->capacity_bits);
+  store::OpenedEpoch opened;
+  {
+    // The held epoch and the context's table are publish-path state shared
+    // with the async shard workers' build_state.
+    std::lock_guard lock(build_mu_);
+    // Stacked on the held epoch, only the deltas published since it are
+    // opened and validated; a cold first call (or a re-base after
+    // compaction) resolves the whole chain.
+    opened = store.open_current(store::OpenOptions{}, held_.get());
+    // A tiered epoch carries the public fixed-base table for g; adopting it
+    // makes a cold restart skip the capacity_bits squarings build_state
+    // would otherwise spend.  A table grown past it since is kept.  The
+    // witness tier itself is already attached to the snapshot (lazy,
+    // mmap-backed) — no per-term witness is recomputed on reopen.
+    if (opened.fixed_base && opened.fixed_base->base == ctx_.g() &&
+        opened.fixed_base->capacity_bits > ctx_.power().fixed_base_capacity_bits()) {
+      ctx_.adopt_fixed_base(*opened.fixed_base);
+    }
+    held_ = std::make_unique<store::OpenedEpoch>(opened);
   }
   publish(opened.snapshot);
   return opened.snapshot->epoch();

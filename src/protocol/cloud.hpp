@@ -44,6 +44,7 @@ namespace vc {
 
 namespace store {
 class EpochStore;
+struct OpenedEpoch;
 }  // namespace store
 
 namespace advtest {
@@ -101,9 +102,13 @@ class CloudService {
   void set_publish_stall_for_test(std::size_t shard, std::uint64_t ms);
 
   // Opens the store's CURRENT epoch (mmap-backed, lazily materialized) and
-  // publishes it into the shard slots — the cold-restart entry point.
-  // Throws the store's typed errors when the epoch is missing or damaged.
-  // Returns the published epoch number.
+  // publishes it into the shard slots — the cold-restart entry point, and
+  // the cloud's side of every delta publish.  The epoch this call opened
+  // last is held: the next call validates only the delta records published
+  // since and stacks them on it (see EpochStore::open_current), so a
+  // publish costs O(delta).  Throws the store's typed errors when the epoch
+  // is missing or damaged; the served epoch is then unchanged.  Returns the
+  // published epoch number.
   std::uint64_t publish_from(const store::EpochStore& store);
 
   // Throws VerifyError if the query signature is invalid.
@@ -174,12 +179,12 @@ class CloudService {
   ThreadPool* pool_;
   CloudBehavior behavior_ = CloudBehavior::kHonest;
   std::atomic<std::uint64_t> served_{0};
-  std::size_t fixed_base_bits_ = 0;  // capacity of the shared g-base table
   std::vector<std::atomic<StatePtr>> shards_;
 
   // Async pipeline state (empty/idle in sync mode).
   PublishConfig publish_cfg_;
   std::mutex build_mu_;
+  std::unique_ptr<store::OpenedEpoch> held_;  // last publish_from epoch; under build_mu_
   std::vector<std::unique_ptr<ShardPublisher>> publishers_;
   std::vector<std::atomic<std::uint64_t>> stall_ms_;  // fault injection, per shard
   mutable std::mutex swap_mu_;               // pairs with swap_cv_ for wait_published

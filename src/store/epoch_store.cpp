@@ -9,7 +9,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <map>
 
 #include "obs/metrics.hpp"
 #include "support/stopwatch.hpp"
@@ -139,46 +138,95 @@ std::optional<std::uint64_t> parse_epoch_dir(const std::string& name) {
   return v;
 }
 
+}  // namespace
+
 // --- chain overlay -----------------------------------------------------------
 //
 // The overlay snapshot's term list is the base's with every delta applied
 // oldest→newest (touched terms upserted, removed terms dropped); each term
 // remembers which layer serves it.  Entry loads dispatch to the newest
 // delta that touched the term (lazy parse of its mapped blob) or fall back
-// to the base snapshot's own lazy find() — so an overlay open stays
-// O(terms) string work, exactly like a plain snapshot open.
+// to the base snapshot's own lazy find() — so an
+// overlay open stays O(terms) string work, exactly like a plain snapshot
+// open, and stacking one more delta on held layers is one linear merge.
 
-struct OverlayProvider {
-  int delta = -1;        // -1: base snapshot; otherwise index into deltas
-  std::size_t rank = 0;  // rank within that delta's touched_terms
+struct ChainLayers {
+  struct Provider {
+    int delta = -1;        // -1: base snapshot; otherwise index into deltas
+    std::size_t rank = 0;  // rank within that delta's touched_terms
+  };
+
+  fs::path root;           // the store the layers were opened from
+  Digest fingerprint{};    // param fingerprint every layer carries
+  OpenedEpoch base;        // the full snapshot the chain bottoms out at
+  std::vector<std::shared_ptr<const OpenedDelta>> deltas;  // oldest → newest
+  std::vector<Provider> providers;  // parallel to the head snapshot's terms
 };
+
+namespace {
+
+using Provider = ChainLayers::Provider;
 
 class OverlayEntrySource final : public EntrySource {
  public:
-  OverlayEntrySource(SnapshotPtr base, std::vector<OpenedDelta> deltas,
-                     std::vector<OverlayProvider> providers)
-      : base_(std::move(base)), deltas_(std::move(deltas)), providers_(std::move(providers)) {}
+  explicit OverlayEntrySource(std::shared_ptr<const ChainLayers> layers)
+      : layers_(std::move(layers)) {}
 
   [[nodiscard]] std::shared_ptr<const IndexEntry> load(
       std::size_t rank, std::string_view term) const override {
-    const OverlayProvider& p = providers_[rank];
+    const Provider& p = layers_->providers[rank];
     if (p.delta >= 0) {
-      return deltas_[static_cast<std::size_t>(p.delta)].source->load(p.rank, term);
+      return layers_->deltas[static_cast<std::size_t>(p.delta)]->source->load(p.rank, term);
     }
-    const IndexEntry* e = base_->find(term);
+    const SnapshotPtr& base = layers_->base.snapshot;
+    const IndexEntry* e = base->find(term);
     if (e == nullptr) {
       throw StoreCorruptError("chain base lost term " + std::string(term));
     }
     // Alias the base snapshot's cached entry; the overlay keeps the base
     // alive, so no copy and no second parse.
-    return {base_, e};
+    return {base, e};
   }
 
  private:
-  SnapshotPtr base_;
-  std::vector<OpenedDelta> deltas_;
-  std::vector<OverlayProvider> providers_;
+  std::shared_ptr<const ChainLayers> layers_;
 };
+
+// Applies one delta (layer index `layer`) to a sorted term list and its
+// providers in one linear merge: touched terms are upserted, removed terms
+// dropped.
+void merge_delta(std::vector<std::string>& terms, std::vector<Provider>& providers,
+                 const OpenedDelta& d, int layer) {
+  const std::vector<std::string>& touched = d.touched_terms;
+  const std::vector<std::string>& removed = d.removed_terms;
+  std::vector<std::string> out_terms;
+  std::vector<Provider> out_providers;
+  out_terms.reserve(terms.size() + touched.size());
+  out_providers.reserve(terms.size() + touched.size());
+  std::size_t i = 0, j = 0, k = 0;
+  while (i < terms.size() || j < touched.size()) {
+    const bool from_delta = i == terms.size() || (j < touched.size() && touched[j] <= terms[i]);
+    const std::string& term = from_delta ? touched[j] : terms[i];
+    while (k < removed.size() && removed[k] < term) ++k;
+    const bool keep = k == removed.size() || removed[k] != term;
+    if (from_delta) {
+      if (i < terms.size() && terms[i] == term) ++i;  // upsert replaces the older layer
+      if (keep) {
+        out_terms.push_back(term);
+        out_providers.push_back(Provider{layer, j});
+      }
+      ++j;
+    } else {
+      if (keep) {
+        out_terms.push_back(std::move(terms[i]));
+        out_providers.push_back(providers[i]);
+      }
+      ++i;
+    }
+  }
+  terms = std::move(out_terms);
+  providers = std::move(out_providers);
+}
 
 // Prime lookups consult the delta sections newest-first, then the base
 // epoch's mapped sections.  Representatives are deterministic, so overlap
@@ -389,42 +437,57 @@ OpenedEpoch EpochStore::open_epoch(std::uint64_t epoch,
   return open_epoch(epoch, OpenOptions{.expected_fingerprint = expected_fingerprint});
 }
 
-OpenedEpoch EpochStore::open_current(const OpenOptions& options) const {
-  const std::string name = read_current_name();
-  return open_epoch(*parse_epoch_dir(name), options);
+OpenedEpoch EpochStore::open_current(const OpenOptions& options,
+                                     const OpenedEpoch* held) const {
+  // read_current_name() has already checked that the epoch is on disk.
+  return resolve_chain(*parse_epoch_dir(read_current_name()), options, held);
 }
 
 OpenedEpoch EpochStore::open_epoch(std::uint64_t epoch, const OpenOptions& options) const {
-  const fs::path snap_path = epoch_file(epoch);
-  if (fs::exists(snap_path)) {
-    // A compacted head keeps its delta alongside; the full snapshot wins.
-    auto file = std::make_shared<const MappedFile>(snap_path);
-    OpenedEpoch out = open_snapshot(std::move(file), options);
-    chain_length_gauge().set(0);
-    return out;
+  if (!fs::exists(epoch_file(epoch)) && !fs::exists(delta_file(epoch))) {
+    throw StoreError("epoch " + std::to_string(epoch) + " is not in " + root_.string());
   }
-  if (fs::exists(delta_file(epoch))) return resolve_chain(epoch, options);
-  throw StoreError("epoch " + std::to_string(epoch) + " is not in " + root_.string());
+  return resolve_chain(epoch, options, nullptr);
 }
 
-OpenedEpoch EpochStore::resolve_chain(std::uint64_t head, const OpenOptions& options) const {
-  // Walk base links down to a full snapshot, newest delta first.  Every
-  // layer must carry the same param fingerprint as the head; the walk must
-  // strictly descend and stay under the length cap.
-  std::vector<OpenedDelta> deltas;
+OpenedEpoch EpochStore::resolve_chain(std::uint64_t head, const OpenOptions& options,
+                                      const OpenedEpoch* held) const {
+  const ChainLayers* prev = held != nullptr ? held->layers.get() : nullptr;
+  if (prev != nullptr && prev->root != root_) prev = nullptr;
+  const std::uint64_t prev_head = prev != nullptr ? held->snapshot->epoch() : 0;
+
+  // Walk base links down to a full snapshot — or to the held head — newest
+  // delta first.  Every layer must carry the same param fingerprint as the
+  // head; the walk must strictly descend and stay under the length cap.
+  std::vector<std::shared_ptr<const OpenedDelta>> fresh;
   Digest chain_fp{};
   OpenOptions layer_options = options;
   // Warming the base snapshot would prime entries the overlay may shadow;
   // the overlay itself is warmed once, below.
   layer_options.warm_budget_bytes = 0;
+  bool stacked = false;
   std::uint64_t epoch = head;
-  while (!fs::exists(epoch_file(epoch))) {
+  for (;;) {
+    if (prev != nullptr && epoch == prev_head) {
+      // Stack on the held layers unless the held head was compacted since
+      // (a held plain snapshot is its own base), the stacked chain would
+      // pass the cap, or the parameters differ.
+      const Digest& want = fresh.empty() ? prev->fingerprint : chain_fp;
+      stacked = (prev->deltas.empty() || !fs::exists(epoch_file(epoch))) &&
+                prev->deltas.size() + fresh.size() <= kMaxChainLength &&
+                prev->fingerprint == want &&
+                (options.expected_fingerprint == nullptr ||
+                 *options.expected_fingerprint == prev->fingerprint);
+      if (stacked) break;
+      prev = nullptr;
+    }
+    if (fs::exists(epoch_file(epoch))) break;
     const fs::path path = delta_file(epoch);
     if (!fs::exists(path)) {
       throw StoreChainError("epoch " + std::to_string(epoch) +
                             " is missing (chain head " + std::to_string(head) + ")");
     }
-    if (deltas.size() >= kMaxChainLength) {
+    if (fresh.size() >= kMaxChainLength) {
       throw StoreChainError("chain from epoch " + std::to_string(head) + " exceeds " +
                             std::to_string(kMaxChainLength) + " deltas");
     }
@@ -434,7 +497,7 @@ OpenedEpoch EpochStore::resolve_chain(std::uint64_t head, const OpenOptions& opt
       throw StoreCorruptError("delta in " + epoch_dir_name(epoch) + " claims epoch " +
                               std::to_string(d.epoch));
     }
-    if (deltas.empty()) {
+    if (fresh.empty()) {
       chain_fp = d.fingerprint;
       // Deeper layers (and the base) must match the head's parameters even
       // when the caller did not pin a fingerprint.
@@ -443,39 +506,65 @@ OpenedEpoch EpochStore::resolve_chain(std::uint64_t head, const OpenOptions& opt
       }
     }
     epoch = d.base_epoch;  // open_delta guarantees base_epoch < epoch
-    deltas.push_back(std::move(d));
+    fresh.push_back(std::make_shared<const OpenedDelta>(std::move(d)));
+  }
+  std::reverse(fresh.begin(), fresh.end());  // oldest → newest
+
+  if (stacked && fresh.empty()) {
+    chain_length_gauge().set(held->chain_length);
+    return *held;  // CURRENT has not moved past the held epoch
   }
 
-  auto base_file = std::make_shared<const MappedFile>(epoch_file(epoch));
-  OpenedEpoch base = open_snapshot(std::move(base_file), layer_options);
-  std::reverse(deltas.begin(), deltas.end());  // oldest → newest
-
-  // Merged term list: upsert touched, drop removed, oldest delta first.
-  std::map<std::string, OverlayProvider, std::less<>> merged;
-  for (const auto& [term, unused] : base.snapshot->entries()) {
-    merged.emplace(term, OverlayProvider{});
-  }
-  for (std::size_t di = 0; di < deltas.size(); ++di) {
-    const OpenedDelta& d = deltas[di];
-    for (std::size_t r = 0; r < d.touched_terms.size(); ++r) {
-      merged[d.touched_terms[r]] = OverlayProvider{static_cast<int>(di), r};
+  // Start from the held layers, or from the base snapshot with every term
+  // served by it; then merge the freshly opened deltas in, oldest first.
+  auto layers = std::make_shared<ChainLayers>();
+  layers->root = root_;
+  if (stacked) {
+    layers->fingerprint = prev->fingerprint;
+    layers->base = prev->base;
+    layers->deltas = prev->deltas;
+    layers->providers = prev->providers;
+  } else {
+    auto base_file = std::make_shared<const MappedFile>(epoch_file(epoch));
+    layers->base = open_snapshot(std::move(base_file), fresh.empty() ? options : layer_options);
+    layers->fingerprint =
+        fresh.empty() ? param_fingerprint(layers->base.snapshot->config()) : chain_fp;
+    layers->providers.assign(layers->base.snapshot->term_count(), Provider{});
+    if (fresh.empty()) {
+      // A plain snapshot head: the base itself, carrying its layers for the
+      // next open to stack on.
+      OpenedEpoch out = layers->base;
+      out.layers = std::move(layers);
+      chain_length_gauge().set(0);
+      return out;
     }
-    for (const std::string& term : d.removed_terms) merged.erase(term);
   }
+  const OpenedEpoch& base = layers->base;
+  const OpenedEpoch& below = stacked ? *held : base;
   std::vector<std::string> terms;
-  std::vector<OverlayProvider> providers;
-  terms.reserve(merged.size());
-  providers.reserve(merged.size());
-  for (auto& [term, p] : merged) {
-    terms.push_back(term);
-    providers.push_back(p);
+  terms.reserve(below.snapshot->term_count());
+  for (const auto& [term, unused] : below.snapshot->entries()) terms.push_back(term);
+  for (const auto& d : fresh) {
+    merge_delta(terms, layers->providers, *d, static_cast<int>(layers->deltas.size()));
+    layers->deltas.push_back(d);
   }
+  // Witness tier: keep the base's tables for terms no delta touched or
+  // removed — their sets are unchanged, so the persisted witnesses are
+  // still the unique residues.  Touched terms degrade to the compute path.
+  std::vector<std::string> tier_terms;
+  if (below.tier != nullptr) tier_terms = below.tier->terms();
+  std::erase_if(tier_terms, [&](const std::string& term) {
+    return std::any_of(fresh.begin(), fresh.end(), [&](const auto& d) {
+      return std::binary_search(d->touched_terms.begin(), d->touched_terms.end(), term) ||
+             std::binary_search(d->removed_terms.begin(), d->removed_terms.end(), term);
+    });
+  });
 
   // Newest-first prime resolution: delta sections, then the base mapping.
   std::vector<std::shared_ptr<const PrimeBacking>> tuple_tiers, doc_tiers;
-  for (auto it = deltas.rbegin(); it != deltas.rend(); ++it) {
-    tuple_tiers.push_back(it->tuple_primes);
-    doc_tiers.push_back(it->doc_primes);
+  for (auto it = layers->deltas.rbegin(); it != layers->deltas.rend(); ++it) {
+    tuple_tiers.push_back((*it)->tuple_primes);
+    doc_tiers.push_back((*it)->doc_primes);
   }
   tuple_tiers.push_back(base.snapshot->tuple_primes().backing());
   doc_tiers.push_back(base.snapshot->doc_primes().backing());
@@ -489,10 +578,10 @@ OpenedEpoch EpochStore::resolve_chain(std::uint64_t head, const OpenOptions& opt
   // the base snapshot keeps it alive).
   std::shared_ptr<const DictionaryIntervals> dict;
   std::shared_ptr<const DictAttestation> dict_att;
-  for (auto it = deltas.rbegin(); it != deltas.rend(); ++it) {
-    if (it->dict_changed) {
-      dict = it->dict;
-      dict_att = it->dict_attestation;
+  for (auto it = layers->deltas.rbegin(); it != layers->deltas.rend(); ++it) {
+    if ((*it)->dict_changed) {
+      dict = (*it)->dict;
+      dict_att = (*it)->dict_attestation;
       break;
     }
   }
@@ -501,45 +590,28 @@ OpenedEpoch EpochStore::resolve_chain(std::uint64_t head, const OpenOptions& opt
     dict_att = {base.snapshot, &base.snapshot->dict_attestation()};
   }
 
-  const OpenedDelta& newest = deltas.back();
+  const OpenedDelta& newest = *layers->deltas.back();
   OpenedEpoch out;
   out.snapshot = std::make_shared<const IndexSnapshot>(
-      config, head, std::move(terms),
-      std::make_shared<const OverlayEntrySource>(base.snapshot, deltas, std::move(providers)),
+      config, head, std::move(terms), std::make_shared<const OverlayEntrySource>(layers),
       newest.max_posting_count, std::move(dict), std::move(dict_att),
       std::move(tuple_primes), std::move(doc_primes));
-
-  // Witness tier: keep the base's tables for terms no delta touched or
-  // removed — their sets are unchanged, so the persisted witnesses are
-  // still the unique residues.  Touched terms degrade to the compute path.
   out.tier_degraded = base.tier_degraded;
   if (base.tier != nullptr) {
-    std::vector<std::string> surviving;
-    for (const std::string& term : base.tier->terms()) {
-      bool stale = false;
-      for (const OpenedDelta& d : deltas) {
-        if (std::binary_search(d.touched_terms.begin(), d.touched_terms.end(), term) ||
-            std::binary_search(d.removed_terms.begin(), d.removed_terms.end(), term)) {
-          stale = true;
-          break;
-        }
-      }
-      if (!stale) surviving.push_back(term);
-    }
-    if (!surviving.empty()) {
+    if (!tier_terms.empty()) {
       out.tier = std::make_shared<const WitnessTier>(
-          std::move(surviving), std::make_shared<const SubsetTierSource>(base.tier),
+          std::move(tier_terms), std::make_shared<const SubsetTierSource>(base.tier),
           base.tier->table_bytes());
       out.snapshot->attach_tier(out.tier);
     }
     out.fixed_base = base.fixed_base;
   }
-
   out.shard_count = newest.shard_count;
   out.file = base.file;
   out.base_epoch = base.snapshot->epoch();
-  out.chain_length = static_cast<std::uint32_t>(deltas.size());
-  chain_length_gauge().set(static_cast<std::int64_t>(deltas.size()));
+  out.chain_length = static_cast<std::uint32_t>(layers->deltas.size());
+  out.layers = std::move(layers);
+  chain_length_gauge().set(static_cast<std::int64_t>(out.chain_length));
   if (options.warm_budget_bytes > 0 && out.tier != nullptr) {
     warm_epoch(*out.snapshot, out.tier.get(), out.tier->terms(),
                options.warm_budget_bytes);
@@ -560,7 +632,7 @@ std::optional<std::uint64_t> EpochStore::compact(std::uint32_t min_chain_length,
   // compacted epoch keeps its zero-modexp hot path.
   TierArtifacts arts;
   const TierArtifacts* tier = nullptr;
-  if (head.tier != nullptr && head.fixed_base.has_value()) {
+  if (head.tier != nullptr && head.fixed_base != nullptr) {
     arts.tier = head.tier;
     arts.fixed_base = *head.fixed_base;
     tier = &arts;

@@ -26,11 +26,13 @@
 // delta head transparently — walk base_epoch links down to a full snapshot
 // (strictly descending, length-capped) and serve a lazy overlay
 // IndexSnapshot whose per-term lookups dispatch to the newest delta that
-// touched the term, falling back to the base mapping.  compact() folds a
-// chain back into a full snapshot written *into the head epoch's directory*
-// (file-level atomic rename; CURRENT never moves), which the open path then
-// prefers over re-walking the chain — crash-safe because until the rename
-// lands, resolution still works off the intact chain.
+// touched the term, falling back to the base mapping.  Given the epoch it
+// already serves, an open stops at that epoch and stacks only the newer
+// deltas on it.  compact() folds a chain back into a full snapshot written
+// *into the head epoch's directory* (file-level atomic rename; CURRENT
+// never moves), which the open path then prefers over re-walking the chain
+// — crash-safe because until the rename lands, resolution still works off
+// the intact chain.
 #pragma once
 
 #include <atomic>
@@ -92,7 +94,19 @@ class EpochStore {
   [[nodiscard]] OpenedEpoch open_epoch(std::uint64_t epoch,
                                        const Digest* expected_fingerprint = nullptr) const;
   // Full-option forms (max_format_version, tier degradation; see OpenOptions).
-  [[nodiscard]] OpenedEpoch open_current(const OpenOptions& options) const;
+  //
+  // `held`, when non-null, is an epoch an earlier open of this store
+  // returned (the serving core's current one, opened with the same
+  // options).  The walk down from the new head then stops at the held head:
+  // only the delta records published since are opened and CRC-checked, and
+  // they are stacked onto the held layers — O(delta), not O(index).  The
+  // walk goes on to a full resolve instead when the held head has since been
+  // compacted (re-base: the held chain never outgrows the store's), when
+  // stacking would pass kMaxChainLength, or when the held epoch comes from
+  // another store or parameter set.  Either way the result is the epoch a
+  // cold open returns.
+  [[nodiscard]] OpenedEpoch open_current(const OpenOptions& options,
+                                         const OpenedEpoch* held = nullptr) const;
   [[nodiscard]] OpenedEpoch open_epoch(std::uint64_t epoch, const OpenOptions& options) const;
 
   // Folds CURRENT's delta chain into a full snapshot when it is at least
@@ -130,7 +144,8 @@ class EpochStore {
  private:
   [[nodiscard]] std::string read_current_name() const;  // throws if missing/bad
   void advance_current(const std::string& dir_name);
-  [[nodiscard]] OpenedEpoch resolve_chain(std::uint64_t head, const OpenOptions& options) const;
+  [[nodiscard]] OpenedEpoch resolve_chain(std::uint64_t head, const OpenOptions& options,
+                                          const OpenedEpoch* held) const;
 
   std::filesystem::path root_;
 };

@@ -258,7 +258,7 @@ OpenedEpoch open_snapshot(std::shared_ptr<const MappedFile> file, OpenOptions op
     out.snapshot->attach_tier(out.tier);
 
     ByteReader fixed_r(section_bytes(data, layout, SectionId::kFixedBase));
-    out.fixed_base = read_fixed_base(fixed_r);
+    out.fixed_base = std::make_shared<const FixedBaseSnapshot>(read_fixed_base(fixed_r));
     fixed_r.expect_done();
   }
 

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "hash/sha256.hpp"
@@ -42,6 +41,10 @@ struct TierArtifacts {
 Bytes encode_snapshot(const IndexSnapshot& snap, std::uint32_t shard_count,
                       const TierArtifacts* tier = nullptr);
 
+// The layers an EpochStore open resolved: base snapshot, opened delta
+// records and which layer serves each term (defined in epoch_store.cpp).
+struct ChainLayers;
+
 // A validated, opened epoch.  The snapshot holds the mapping alive through
 // shared_ptr, so the OpenedEpoch struct itself may be discarded.
 struct OpenedEpoch {
@@ -50,9 +53,10 @@ struct OpenedEpoch {
   std::shared_ptr<const MappedFile> file;
   // v2 files only: the lazy mapped witness tier (already attached to the
   // snapshot) and the persisted fixed-base table for the serving context to
-  // adopt instead of rebuilding.
+  // adopt instead of rebuilding.  Shared, not copied, by every epoch stacked
+  // on the same base.
   std::shared_ptr<const WitnessTier> tier;
-  std::optional<FixedBaseSnapshot> fixed_base;
+  std::shared_ptr<const FixedBaseSnapshot> fixed_base;
   // True when tier sections were dropped under degrade_tier_on_corruption.
   bool tier_degraded = false;
   // Chain provenance (EpochStore::open_*): the full snapshot the resolution
@@ -61,6 +65,9 @@ struct OpenedEpoch {
   // chain_length == 0.
   std::uint64_t base_epoch = 0;
   std::uint32_t chain_length = 0;
+  // Set by EpochStore opens only: what a later open of a descendant epoch
+  // stacks its new delta records on (EpochStore::open_current's `held`).
+  std::shared_ptr<const ChainLayers> layers;
 };
 
 struct OpenOptions {

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "bigint/bigint.hpp"
 #include "bigint/miller_rabin.hpp"
 #include "bigint/power_context.hpp"
+#include "obs/metrics.hpp"
 #include "support/errors.hpp"
 #include "support/rng.hpp"
 
@@ -259,6 +262,62 @@ TEST(PowerContext, HugeExponentReducedByTrapdoor) {
   Bigint exp = Bigint::random_bits(rng, 5000);
   Bigint base(2);
   EXPECT_EQ(owner.pow(base, exp), pub.pow(base, exp));
+}
+
+std::uint64_t fixed_builds(const char* kind) {
+  return obs::MetricsRegistry::global()
+      .counter("vc_fixedbase_builds_total", std::string("kind=\"") + kind + "\"")
+      .value();
+}
+
+// A public-side table that grows in place must be entry for entry the table
+// a fresh build of the new capacity produces, and must agree with plain
+// powm for every exponent width it now serves.
+TEST(PowerContext, GrownFixedBaseMatchesFreshBuildAndPowm) {
+  Bigint p = Bigint::from_decimal("1000000007");
+  Bigint q = Bigint::from_decimal("1000000009");
+  const Bigint n = p * q;
+  const Bigint base(7);
+  PowerContext grown(n);
+  grown.prepare_fixed_base(base, 2000);
+  const std::size_t window = grown.export_fixed_base()->window;
+
+  // 2000 → 2600 bits keeps the window (pick_window gives 6 for both): grow.
+  std::uint64_t full0 = fixed_builds("full"), grow0 = fixed_builds("grow");
+  grown.prepare_fixed_base(base, 2600);
+  EXPECT_EQ(fixed_builds("full"), full0);
+  EXPECT_EQ(fixed_builds("grow"), grow0 + 1);
+  EXPECT_EQ(grown.fixed_base_capacity_bits(), 2600u);
+
+  PowerContext fresh(n);
+  fresh.prepare_fixed_base(base, 2600);
+  std::optional<FixedBaseSnapshot> a = grown.export_fixed_base();
+  std::optional<FixedBaseSnapshot> b = fresh.export_fixed_base();
+  ASSERT_TRUE(a && b);
+  EXPECT_EQ(a->window, window);
+  EXPECT_EQ(a->window, b->window);
+  EXPECT_EQ(a->capacity_bits, b->capacity_bits);
+  EXPECT_EQ(a->powers, b->powers);
+
+  DeterministicRng rng(11);
+  for (std::size_t bits : {1u, 64u, 1999u, 2000u, 2001u, 2300u, 2599u, 2600u}) {
+    Bigint e = Bigint::random_bits(rng, bits);
+    EXPECT_EQ(grown.pow(base, e), Bigint::pow_mod(base, e, n)) << bits;
+    EXPECT_EQ(grown.pow(base, e), fresh.pow(base, e)) << bits;
+  }
+
+  // A narrower request keeps the held table without building anything.
+  std::uint64_t builds = fixed_builds("full") + fixed_builds("grow");
+  grown.prepare_fixed_base(base, 1000);
+  EXPECT_EQ(grown.fixed_base_capacity_bits(), 2600u);
+  EXPECT_EQ(fixed_builds("full") + fixed_builds("grow"), builds);
+
+  // A width whose best window differs rebuilds the table whole.
+  grown.prepare_fixed_base(base, 20000);
+  EXPECT_EQ(fixed_builds("full"), full0 + 2);  // `fresh` above, and this one
+  EXPECT_NE(grown.export_fixed_base()->window, window);
+  Bigint e = Bigint::random_bits(rng, 19000);
+  EXPECT_EQ(grown.pow(base, e), Bigint::pow_mod(base, e, n));
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <fstream>
 
 #include "support/errors.hpp"
+#include "temp_path.hpp"
 #include "text/corpus.hpp"
 
 namespace vc {
@@ -13,7 +14,7 @@ namespace {
 class CorpusIoTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "vc_corpus_io";
+    dir_ = testing_paths::unique_temp_path("vc_corpus_io");
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_ / "sub");
     write(dir_ / "b.txt", "bravo document");

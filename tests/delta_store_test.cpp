@@ -14,6 +14,7 @@
 #include <fstream>
 
 #include "obs/metrics.hpp"
+#include "store/codec_detail.hpp"
 #include "store/delta_codec.hpp"
 #include "store/epoch_store.hpp"
 #include "test_fixtures.hpp"
@@ -109,6 +110,47 @@ class DeltaStoreTest : public ::testing::Test {
     SearchResponse from_have = have.search(unknown, SchemeKind::kHybrid);
     EXPECT_NO_THROW(verifier.verify(from_have));
     EXPECT_EQ(encode_response(from_want), encode_response(from_have));
+  }
+
+  // A stacked open must be the epoch a fresh resolve returns: same terms,
+  // entry bytes, posting bound, dictionary, prime lookups and surviving
+  // witness-tier terms.
+  static void expect_same_epoch(const store::OpenedEpoch& want,
+                                const store::OpenedEpoch& got) {
+    ASSERT_EQ(got.snapshot->epoch(), want.snapshot->epoch());
+    EXPECT_EQ(got.chain_length, want.chain_length);
+    EXPECT_EQ(got.base_epoch, want.base_epoch);
+    EXPECT_EQ(got.snapshot->max_posting_count(), want.snapshot->max_posting_count());
+    ASSERT_EQ(got.snapshot->term_count(), want.snapshot->term_count());
+    auto it = got.snapshot->entries().begin();
+    for (const auto& [term, unused] : want.snapshot->entries()) {
+      ASSERT_EQ(it->first, term);
+      ++it;
+      ByteWriter a, b;
+      store::detail::write_entry(a, *want.snapshot->find(term));
+      store::detail::write_entry(b, *got.snapshot->find(term));
+      EXPECT_EQ(a.data(), b.data()) << term;
+    }
+    EXPECT_EQ(got.snapshot->dictionary(), want.snapshot->dictionary());
+    EXPECT_EQ(got.snapshot->dict_attestation(), want.snapshot->dict_attestation());
+    for (auto cache : {&IndexSnapshot::tuple_primes, &IndexSnapshot::doc_primes}) {
+      const PrimeBacking& have = *((*got.snapshot).*cache)().backing();
+      std::size_t seen = 0;
+      ((*want.snapshot).*cache)().backing()->for_each(
+          [&](std::uint64_t element, const Bigint& rep) {
+            Bigint out;
+            EXPECT_TRUE(have.lookup(element, out)) << element;
+            EXPECT_EQ(out, rep) << element;
+            ++seen;
+          });
+      EXPECT_GT(seen, 0u);
+    }
+    ASSERT_EQ(got.tier == nullptr, want.tier == nullptr);
+    if (want.tier != nullptr) EXPECT_EQ(got.tier->terms(), want.tier->terms());
+  }
+
+  static std::uint64_t delta_opens() {
+    return obs::MetricsRegistry::global().counter("vc_store_delta_opens_total").value();
   }
 
   static testbed::TestBed* bed_;
@@ -355,7 +397,7 @@ TEST_F(DeltaStoreTest, WitnessTierDegradesPerTouchedTerm) {
   EXPECT_EQ(opened.tier->term_count(), 1u);
   EXPECT_EQ(opened.tier->find(touched), nullptr);
   EXPECT_NE(opened.tier->find(untouched), nullptr);
-  ASSERT_TRUE(opened.fixed_base.has_value());
+  ASSERT_NE(opened.fixed_base, nullptr);
   // Both terms still prove byte-identically — one from the surviving tier,
   // one through the compute path.
   expect_proofs_identical(bed_->vidx.snapshot(), opened.snapshot);
@@ -367,6 +409,131 @@ TEST_F(DeltaStoreTest, WitnessTierDegradesPerTouchedTerm) {
               encode_response(have.search(q, SchemeKind::kHybrid)))
         << term;
   }
+  fs::remove_all(root);
+}
+
+TEST_F(DeltaStoreTest, StackedOpensMatchFreshResolves) {
+  // A tiered base, then K deltas — one adding fresh terms, one removing a
+  // document whose only term vanishes — each opened stacked on the epoch
+  // opened before it.
+  auto words = bed_->frequent_terms(8);
+  std::string tiered_touched = normalize_term(words[0]);
+  std::string tiered_kept = normalize_term(words[7]);
+  fs::path root = fresh_root("stacked");
+  store::EpochStore store(root);
+  SnapshotPtr snap = bed_->vidx.snapshot();
+  bed_->owner_ctx.set_pool(&bed_->pool);
+  TierPolicy policy;
+  policy.hot_terms = {tiered_touched, tiered_kept};
+  TierBuildResult tier = build_witness_tier(*snap, bed_->owner_ctx, policy);
+  ASSERT_NE(tier.tier, nullptr);
+  snap->attach_tier(tier.tier);
+  store::TierArtifacts arts{tier.tier, std::move(tier.fixed_base)};
+  store.publish(*snap, /*shard_count=*/2, &arts);
+  bed_->vidx.note_full_publish();
+
+  store::OpenedEpoch held = store.open_current();
+  ASSERT_EQ(held.chain_length, 0u);
+  const std::uint32_t victim = next_doc_id_;
+  constexpr int kDeltas = 4;
+  for (int k = 0; k < kDeltas; ++k) {
+    if (k == 2) {
+      bed_->vidx.remove_documents(U64Set{victim}, bed_->owner_ctx, bed_->owner_key);
+    } else {
+      add_doc(k == 0 ? "zzstackvictim" : k == 1 ? "stackfreshterm" : "");
+    }
+    auto delta = bed_->vidx.publish_delta();
+    ASSERT_TRUE(delta.has_value());
+    store.publish_delta(*delta, /*shard_count=*/2);
+
+    std::uint64_t opens0 = delta_opens();
+    store::OpenedEpoch stacked = store.open_current(store::OpenOptions{}, &held);
+    EXPECT_EQ(delta_opens(), opens0 + 1) << "only the new delta is opened";
+    store::OpenedEpoch fresh = store.open_current();
+    EXPECT_EQ(fresh.chain_length, static_cast<std::uint32_t>(k + 1));
+    expect_same_epoch(fresh, stacked);
+    held = std::move(stacked);
+  }
+  EXPECT_EQ(held.snapshot->find(normalize_term("zzstackvictim")), nullptr);
+  ASSERT_NE(held.tier, nullptr);
+  EXPECT_EQ(held.tier->find(tiered_touched), nullptr);
+  EXPECT_NE(held.tier->find(tiered_kept), nullptr);
+  expect_proofs_identical(bed_->vidx.snapshot(), held.snapshot);
+
+  // CURRENT has not moved: the held epoch comes back as it is.
+  std::uint64_t opens0 = delta_opens();
+  store::OpenedEpoch same = store.open_current(store::OpenOptions{}, &held);
+  EXPECT_EQ(delta_opens(), opens0);
+  EXPECT_EQ(same.snapshot, held.snapshot);
+  fs::remove_all(root);
+}
+
+TEST_F(DeltaStoreTest, StackedOpenFallsBackToFullResolve) {
+  fs::path root = fresh_root("rebase");
+  store::EpochStore store(root);
+  std::uint64_t base = publish_base(store);
+  add_doc();
+  auto d1 = bed_->vidx.publish_delta();
+  ASSERT_TRUE(d1.has_value());
+  store.publish_delta(*d1, /*shard_count=*/2);
+  store::OpenedEpoch held = store.open_current();
+  ASSERT_EQ(held.base_epoch, base);
+
+  // The held head is compacted: the next open re-bases onto the compacted
+  // snapshot instead of stacking on the held chain.
+  ASSERT_EQ(store.compact(1), d1->epoch);
+  add_doc();
+  auto d2 = bed_->vidx.publish_delta();
+  ASSERT_TRUE(d2.has_value());
+  store.publish_delta(*d2, /*shard_count=*/2);
+  store::OpenedEpoch rebased = store.open_current(store::OpenOptions{}, &held);
+  EXPECT_EQ(rebased.base_epoch, d1->epoch);
+  EXPECT_EQ(rebased.chain_length, 1u);
+  expect_same_epoch(store.open_current(), rebased);
+
+  // An epoch held from another store (here a copy at another root) never
+  // stacks: every delta of the chain is opened again.
+  fs::path copy = fresh_root("rebase_copy");
+  fs::copy(root, copy, fs::copy_options::recursive);
+  store::EpochStore other(copy);
+  add_doc();
+  auto d3 = bed_->vidx.publish_delta();
+  ASSERT_TRUE(d3.has_value());
+  other.publish_delta(*d3, /*shard_count=*/2);
+  std::uint64_t opens0 = delta_opens();
+  store::OpenedEpoch foreign = other.open_current(store::OpenOptions{}, &rebased);
+  EXPECT_EQ(delta_opens(), opens0 + 2);
+  EXPECT_EQ(foreign.base_epoch, d1->epoch);
+  EXPECT_EQ(foreign.chain_length, 2u);
+  expect_same_epoch(other.open_current(), foreign);
+  expect_proofs_identical(bed_->vidx.snapshot(), foreign.snapshot);
+
+  // A pinned fingerprint the held layers do not carry is never stacked past.
+  Digest wrong{};
+  EXPECT_THROW((void)other.open_current(store::OpenOptions{.expected_fingerprint = &wrong},
+                                        &foreign),
+               store::StoreParamMismatchError);
+  fs::remove_all(root);
+  fs::remove_all(copy);
+}
+
+TEST_F(DeltaStoreTest, CorruptNewDeltaFailsStackedOpen) {
+  fs::path root = fresh_root("stacked_corrupt");
+  store::EpochStore store(root);
+  publish_base(store);
+  store::OpenedEpoch held = store.open_current();
+  add_doc();
+  auto delta = bed_->vidx.publish_delta();
+  ASSERT_TRUE(delta.has_value());
+  store.publish_delta(*delta, /*shard_count=*/2);
+  fs::path file = store.delta_file(delta->epoch);
+  flip_byte(file, static_cast<std::size_t>(fs::file_size(file) / 2));
+  // The new record is fully CRC-checked on its first stacking.
+  EXPECT_THROW((void)store.open_current(store::OpenOptions{}, &held),
+               store::StoreCorruptError);
+  // The held epoch is untouched and still serves.
+  auto words = bed_->frequent_terms(1);
+  EXPECT_NE(held.snapshot->find(normalize_term(words[0])), nullptr);
   fs::remove_all(root);
 }
 

@@ -4,6 +4,7 @@
 
 #include "index/inverted_index.hpp"
 #include "support/errors.hpp"
+#include "temp_path.hpp"
 #include "text/synth.hpp"
 
 namespace vc {
@@ -96,7 +97,7 @@ TEST(InvertedIndex, FilterByDocs) {
 }
 
 TEST(InvertedIndex, SaveLoadRoundtrip) {
-  auto path = std::filesystem::temp_directory_path() / "vc_index_test.bin";
+  auto path = testing_paths::unique_temp_path("vc_index_test.bin");
   Corpus corpus = generate_corpus(SynthSpec{.num_docs = 30, .vocab_size = 200, .seed = 4});
   InvertedIndex idx = InvertedIndex::build(corpus);
   idx.save(path.string());

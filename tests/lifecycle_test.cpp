@@ -13,6 +13,7 @@
 #include "protocol/owner.hpp"
 #include "support/errors.hpp"
 #include "support/threadpool.hpp"
+#include "temp_path.hpp"
 #include "text/stemmer.hpp"
 #include "text/synth.hpp"
 #include "vindex/index_builder.hpp"
@@ -43,7 +44,7 @@ TEST(Lifecycle, EndToEnd) {
                                                  owner_key, cfg, pool);
 
   // --- outsource: serialize, reload as the cloud, validate receipt -----------
-  auto path = (std::filesystem::temp_directory_path() / "vc_lifecycle.vc").string();
+  auto path = testing_paths::unique_temp_path("vc_lifecycle.vc").string();
   built.save(path);
   IndexBuilder vidx = IndexBuilder::load(path);
   std::filesystem::remove(path);

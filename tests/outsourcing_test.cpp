@@ -7,6 +7,7 @@
 #include <fstream>
 
 #include "support/errors.hpp"
+#include "temp_path.hpp"
 #include "test_fixtures.hpp"
 #include "text/synth.hpp"
 #include "vindex/index_builder.hpp"
@@ -21,7 +22,7 @@ class OutsourcingTest : public ::testing::Test {
                    .max_doc_words = 60, .vocab_size = 250, .zipf_s = 0.9, .seed = 61};
     bed_ = new testbed::TestBed(spec, testbed::small_config(256, "outsource"),
                                 /*key_seed=*/501, /*threads=*/2);
-    path_ = (std::filesystem::temp_directory_path() / "vc_outsource_test.vc").string();
+    path_ = testing_paths::unique_temp_path("vc_outsource_test.vc").string();
     bed_->vidx.save(path_);
   }
   static void TearDownTestSuite() {
@@ -82,7 +83,7 @@ TEST_F(OutsourcingTest, LoadedIndexServesVerifiableProofs) {
 }
 
 TEST_F(OutsourcingTest, SaveWithoutPrimeCaches) {
-  auto p = (std::filesystem::temp_directory_path() / "vc_outsource_nocache.vc").string();
+  auto p = testing_paths::unique_temp_path("vc_outsource_nocache.vc").string();
   bed_->vidx.save(p, /*include_prime_caches=*/false);
   IndexBuilder loaded = IndexBuilder::load(p);
   EXPECT_EQ(loaded.tuple_primes().size(), 0u);
@@ -102,7 +103,7 @@ TEST_F(OutsourcingTest, UpdatedIndexRoundtripsAndValidates) {
                synth_word(bed_->spec, 5) + " " + synth_word(bed_->spec, 9) + " brandnewterm"}};
   loaded.add_documents(docs, bed_->owner_ctx, bed_->owner_key);
   EXPECT_NO_THROW(loaded.validate(bed_->owner_key.verify_key()));
-  auto p = (std::filesystem::temp_directory_path() / "vc_outsource_upd.vc").string();
+  auto p = testing_paths::unique_temp_path("vc_outsource_upd.vc").string();
   loaded.save(p);
   IndexBuilder again = IndexBuilder::load(p);
   EXPECT_NO_THROW(again.validate(bed_->owner_key.verify_key()));
@@ -126,7 +127,7 @@ TEST_F(OutsourcingTest, TamperedArtifactDetectedByValidation) {
   for (int trial = 0; trial < 20; ++trial) {
     Bytes mutated = raw;
     mutated[rng.below(mutated.size())] ^= 0x40;
-    auto p = (std::filesystem::temp_directory_path() / "vc_outsource_tamper.vc").string();
+    auto p = testing_paths::unique_temp_path("vc_outsource_tamper.vc").string();
     {
       std::ofstream out(p, std::ios::binary | std::ios::trunc);
       out.write(reinterpret_cast<const char*>(mutated.data()),
@@ -149,7 +150,7 @@ TEST_F(OutsourcingTest, TamperedArtifactDetectedByValidation) {
 TEST(SigningKeyPersistence, SaveLoadRoundtrip) {
   DeterministicRng rng(504);
   SigningKey key = generate_signing_key(rng, 512);
-  auto p = (std::filesystem::temp_directory_path() / "vc_key_test.key").string();
+  auto p = testing_paths::unique_temp_path("vc_key_test.key").string();
   key.save(p);
   SigningKey loaded = SigningKey::load(p);
   EXPECT_EQ(loaded.verify_key(), key.verify_key());

@@ -9,6 +9,7 @@
 #include "support/errors.hpp"
 #include "support/rng.hpp"
 #include "support/threadpool.hpp"
+#include "temp_path.hpp"
 
 namespace vc {
 namespace {
@@ -107,7 +108,7 @@ TEST(PrimeCache, ClearEmpties) {
 }
 
 TEST(PrimeCache, SaveLoadRoundtrip) {
-  auto path = std::filesystem::temp_directory_path() / "vc_prime_cache_test.bin";
+  auto path = testing_paths::unique_temp_path("vc_prime_cache_test.bin");
   PrimeCache cache(small_config());
   for (std::uint64_t e = 0; e < 20; ++e) cache.get(e);
   cache.save(path.string());

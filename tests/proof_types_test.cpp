@@ -440,5 +440,24 @@ TEST(HybridPolicy, AccumulatorNonmembershipWorkBoundedByTargetSet) {
   EXPECT_LT(at_2000, 3 * at_1000);  // far from the naive check×interval blowup
 }
 
+// Element counts are attacker-controlled varints: a count the buffer cannot
+// hold must fail as a ParseError before anything is reserved, never as
+// std::bad_alloc or std::length_error.
+TEST(TrustBoundary, HugeCountsAreParseErrors) {
+  ByteWriter group;
+  group.u32(0);                            // keyword
+  group.varint(std::uint64_t{1} << 62);    // docs count, nothing behind it
+  ByteReader gr(group.data());
+  EXPECT_THROW((void)NonmembershipGroup::read(gr), ParseError);
+
+  ByteWriter result;
+  result.varint(0);                        // keywords
+  result.varint(0);                        // docs
+  result.varint(1);                        // one posting list ...
+  result.varint(std::uint64_t{1} << 62);   // ... claiming 2^62 postings
+  ByteReader rr(result.data());
+  EXPECT_THROW((void)SearchResult::read(rr), ParseError);
+}
+
 }  // namespace
 }  // namespace vc

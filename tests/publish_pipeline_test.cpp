@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <thread>
 
 #include "obs/metrics.hpp"
@@ -324,7 +325,14 @@ TEST(PublishPipeline, PublishHammerWithQueriesAndCompaction) {
     auto delta = bed.vidx.publish_delta();
     ASSERT_TRUE(delta.has_value());
     store.publish_delta(*delta, /*shard_count=*/2);
-    cloud.publish(bed.vidx.snapshot());
+    // Alternate the two publish entry points: the in-memory snapshot, and
+    // the store's CURRENT stacked on the epoch the cloud holds (racing the
+    // compactor's re-bases).
+    if (u % 2 == 0) {
+      cloud.publish(bed.vidx.snapshot());
+    } else {
+      EXPECT_EQ(cloud.publish_from(store), delta->epoch);
+    }
   }
   for (auto& f : futs) f.get();
   cloud.wait_published(1 + kUpdates);
@@ -340,6 +348,124 @@ TEST(PublishPipeline, PublishHammerWithQueriesAndCompaction) {
   ASSERT_NO_THROW(verifier.verify(resp));
   resp.epoch -= 1;
   EXPECT_THROW(verifier.verify(resp), VerifyError);
+  fs::remove_all(root);
+}
+
+Bytes encode_response(const SearchResponse& resp) {
+  ByteWriter w;
+  resp.write(w);
+  return std::move(w).take();
+}
+
+// publish_from stacks each new delta on the epoch the cloud holds.  In
+// every scheme the responses must match a cloud booted fresh from the same
+// store; no publish may rebuild the fixed-base table whole; each publish
+// opens exactly one delta record; and a damaged delta leaves the cloud
+// serving the epoch it had.
+TEST(PublishFrom, StackedPublishesMatchFreshBoot) {
+  // 36 documents plus 5 keep the longest posting list within one window
+  // step of the fixed-base table (pick_window is 6 for 960 < bits <= 2688
+  // at 64-bit representatives), so every widening is a growth.
+  SynthSpec spec{.name = "pfrom", .num_docs = 36, .min_doc_words = 20,
+                 .max_doc_words = 45, .vocab_size = 150, .zipf_s = 0.9, .seed = 27};
+  testbed::TestBed bed(spec, testbed::small_config(256, "pfrom"), /*key_seed=*/704,
+                       /*threads=*/2);
+  bed.owner_ctx.set_pool(&bed.pool);
+  std::vector<std::string> words = bed.frequent_terms(3);
+  TierPolicy policy;
+  policy.hot_terms = {normalize_term(words[0]), normalize_term(words[2])};
+  TierBuildResult built = build_witness_tier(*bed.vidx.snapshot(), bed.owner_ctx, policy);
+  ASSERT_NE(built.tier, nullptr);
+
+  fs::path root = fs::path(::testing::TempDir()) /
+                  ("vc_publish_from." + std::to_string(::getpid()));
+  fs::remove_all(root);
+  store::EpochStore store(root);
+  store::TierArtifacts artifacts{built.tier, built.fixed_base};
+  store.publish(*bed.vidx.snapshot(), /*shard_count=*/1, &artifacts);
+  bed.vidx.note_full_publish();
+
+  // Boots a cloud from the store as vcsearch-serve does: open CURRENT,
+  // adopt the persisted fixed-base table, serve.
+  auto boot = [&](SchemeKind scheme) {
+    store::OpenedEpoch opened = store.open_current();
+    AccumulatorContext ctx = bed.pub_ctx;
+    if (opened.fixed_base != nullptr) ctx.adopt_fixed_base(*opened.fixed_base);
+    return std::make_unique<CloudService>(opened.snapshot, ctx, bed.cloud_key,
+                                          bed.owner_key.verify_key(), &bed.pool, scheme);
+  };
+  const std::vector<SchemeKind> schemes = {SchemeKind::kHybrid, SchemeKind::kAccumulator,
+                                           SchemeKind::kBloom,
+                                           SchemeKind::kIntervalAccumulator};
+  std::vector<std::unique_ptr<CloudService>> stacked;
+  for (SchemeKind scheme : schemes) stacked.push_back(boot(scheme));
+
+  const std::string full = "kind=\"full\"";
+  const std::uint64_t full0 = counter_value("vc_fixedbase_builds_total", full);
+  constexpr std::uint32_t kUpdates = 5;
+  for (std::uint32_t u = 0; u < kUpdates; ++u) {
+    bed.vidx.add_documents(
+        {Document{spec.num_docs + u, "pf-" + std::to_string(u),
+                  words[0] + " " + words[1] + " pfromterm" + static_cast<char>('a' + u)}},
+        bed.owner_ctx, bed.owner_key);
+    auto delta = bed.vidx.publish_delta();
+    ASSERT_TRUE(delta.has_value());
+    store.publish_delta(*delta, /*shard_count=*/1);
+    for (auto& cloud : stacked) {
+      const std::uint64_t opens0 = counter_value("vc_store_delta_opens_total");
+      EXPECT_EQ(cloud->publish_from(store), delta->epoch);
+      // The first call resolves the one-delta chain cold; every later one
+      // opens the new record alone.
+      EXPECT_EQ(counter_value("vc_store_delta_opens_total"), opens0 + 1);
+    }
+  }
+  EXPECT_EQ(counter_value("vc_fixedbase_builds_total", full), full0)
+      << "publishes must grow the held fixed-base table, never rebuild it";
+
+  ResultVerifier verifier = bed.owner_verifier();
+  const std::vector<std::vector<std::string>> keywords = {
+      {words[0], words[1]}, {words[2]}, {"pfromtermc", words[0]}, {"zzznotindexedzzz"}};
+  std::uint64_t id = 1;
+  for (std::size_t i = 0; i < schemes.size(); ++i) {
+    auto fresh = boot(schemes[i]);
+    ASSERT_EQ(fresh->epoch(), stacked[i]->epoch());
+    for (const auto& kws : keywords) {
+      Query q{.id = id++, .keywords = kws};
+      SignedQuery sq{q, bed.owner_key.sign(q.encode())};
+      SearchResponse have = stacked[i]->handle(sq);
+      EXPECT_NO_THROW(verifier.verify(have)) << scheme_name(schemes[i]);
+      EXPECT_EQ(encode_response(have), encode_response(fresh->handle(sq)))
+          << scheme_name(schemes[i]) << " " << kws[0];
+    }
+  }
+
+  // A damaged new delta fails the publish; the cloud keeps its epoch.
+  bed.vidx.add_documents({Document{spec.num_docs + kUpdates, "pf-bad", words[0]}},
+                         bed.owner_ctx, bed.owner_key);
+  auto bad = bed.vidx.publish_delta();
+  ASSERT_TRUE(bad.has_value());
+  store.publish_delta(*bad, /*shard_count=*/1);
+  {
+    const fs::path file = store.delta_file(bad->epoch);
+    std::fstream f(file, std::ios::binary | std::ios::in | std::ios::out);
+    ASSERT_TRUE(f.is_open());
+    const auto mid = static_cast<std::streamoff>(fs::file_size(file) / 2);
+    char c = 0;
+    f.seekg(mid);
+    f.read(&c, 1);
+    c = static_cast<char>(c ^ 0x01);
+    f.seekp(mid);
+    f.write(&c, 1);
+  }
+  CloudService& cloud = *stacked[0];
+  const std::uint64_t served = cloud.epoch();
+  EXPECT_THROW(cloud.publish_from(store), store::StoreCorruptError);
+  EXPECT_EQ(cloud.epoch(), served);
+  verifier.pin_epoch(served);
+  Query q{.id = id++, .keywords = {words[0], words[1]}};
+  SearchResponse resp = cloud.handle(SignedQuery{q, bed.owner_key.sign(q.encode())});
+  EXPECT_EQ(resp.epoch, served);
+  EXPECT_NO_THROW(verifier.verify(resp));
   fs::remove_all(root);
 }
 

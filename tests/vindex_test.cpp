@@ -103,7 +103,9 @@ TEST_F(VIndexTest, AttestationsVerifyAgainstOwnerKey) {
 }
 
 TEST_F(VIndexTest, FlatAccumulatorMatchesManualAccumulation) {
-  const auto& term = vidx_->index().dictionary()[3];
+  // dictionary() returns the term list by value: hold it before indexing.
+  const std::vector<std::string> dict = vidx_->index().dictionary();
+  const std::string& term = dict[3];
   const auto* e = vidx_->find(term);
   U64Set docs = InvertedIndex::doc_set(e->postings);
   std::vector<Bigint> reps;

@@ -390,7 +390,7 @@ TEST_F(TieredStoreTest, TieredEpochRoundTripsWithByteIdenticalProofs) {
   EXPECT_EQ(opened.tier->term_count(), built_->tier->term_count());
   EXPECT_EQ(opened.tier->table_bytes(), built_->tier->table_bytes());
   EXPECT_EQ(opened.snapshot->witness_tier(), opened.tier);
-  ASSERT_TRUE(opened.fixed_base.has_value());
+  ASSERT_NE(opened.fixed_base, nullptr);
   EXPECT_EQ(opened.fixed_base->base, pub_ctx_->g());
   EXPECT_EQ(opened.fixed_base->capacity_bits, built_->fixed_base.capacity_bits);
 
@@ -489,7 +489,7 @@ TEST_F(TieredStoreTest, TierSectionCorruptionThrowsTypedOrDegrades) {
   EXPECT_TRUE(degraded.tier_degraded);
   EXPECT_EQ(degraded.tier, nullptr);
   EXPECT_EQ(degraded.snapshot->witness_tier(), nullptr);
-  EXPECT_FALSE(degraded.fixed_base.has_value());
+  EXPECT_EQ(degraded.fixed_base, nullptr);
 
   auto plain = make_engine(nullptr);
   SearchEngine fallback(degraded.snapshot, *pub_ctx_, *cloud_key_, pool_);

@@ -126,7 +126,7 @@ int main(int argc, char** argv) {
   // in the mapped epoch still guard soundness; the full receipt sweep ran
   // when the epoch was first built and published.
   SnapshotPtr snapshot;
-  std::optional<FixedBaseSnapshot> restored_fixed_base;
+  std::shared_ptr<const FixedBaseSnapshot> restored_fixed_base;
   std::optional<store::EpochStore> store;
   if (store_dir != nullptr) store.emplace(store_dir);
   if (store && store->has_current()) {
